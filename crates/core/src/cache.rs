@@ -98,8 +98,7 @@ impl CacheEntry {
         slot.1 += count;
     }
 
-    fn remove(&mut self, c: &Composite, count: u32) {
-        let id = c.identity();
+    fn remove(&mut self, id: CompositeId, count: u32) {
         if let Some(slot) = self.value.get_mut(&id) {
             slot.1 = slot.1.saturating_sub(count);
             if slot.1 == 0 {
@@ -347,16 +346,24 @@ impl CacheStore {
     /// cached; ignored otherwise. `count` is the witness multiplicity (1 for
     /// plain caches).
     pub fn insert(&mut self, key: &[Value], c: Composite, count: u32) {
-        self.insert_hashed(key, hash_key(key), c, count);
+        self.insert_hashed(key, hash_key(key), || c, count);
     }
 
-    /// [`CacheStore::insert`] with a caller-computed key hash.
-    pub fn insert_hashed(&mut self, key: &[Value], hash: u64, c: Composite, count: u32) {
+    /// [`CacheStore::insert`] with a caller-computed key hash. The value is
+    /// built only when the key is resident, so ignored maintenance costs no
+    /// reference-count traffic.
+    pub fn insert_hashed(
+        &mut self,
+        key: &[Value],
+        hash: u64,
+        value: impl FnOnce() -> Composite,
+        count: u32,
+    ) {
         match self.slot_of_hashed(key, hash) {
             Some(i) => {
                 let e = self.buckets[i].as_mut().expect("slot_of returns occupied");
                 self.value_bytes -= e.bytes;
-                e.add(c, count);
+                e.add(value(), count);
                 self.value_bytes += e.bytes;
                 self.stats.maintenance_applied += 1;
             }
@@ -367,16 +374,18 @@ impl CacheStore {
     /// `delete(u, r)` (§3.2): remove `r` (or `count` witnesses of it) from
     /// the value of `u` if cached; ignored otherwise.
     pub fn delete(&mut self, key: &[Value], c: &Composite, count: u32) {
-        self.delete_hashed(key, hash_key(key), c, count);
+        self.delete_hashed(key, hash_key(key), c.identity(), count);
     }
 
-    /// [`CacheStore::delete`] with a caller-computed key hash.
-    pub fn delete_hashed(&mut self, key: &[Value], hash: u64, c: &Composite, count: u32) {
+    /// [`CacheStore::delete`] with a caller-computed key hash, naming the
+    /// value by its identity (values are keyed by identity, so no owned
+    /// composite is needed).
+    pub fn delete_hashed(&mut self, key: &[Value], hash: u64, id: CompositeId, count: u32) {
         match self.slot_of_hashed(key, hash) {
             Some(i) => {
                 let e = self.buckets[i].as_mut().expect("slot_of returns occupied");
                 self.value_bytes -= e.bytes;
-                e.remove(c, count);
+                e.remove(id, count);
                 self.value_bytes += e.bytes;
                 self.stats.maintenance_applied += 1;
             }

@@ -33,7 +33,9 @@
 //! Figure 12 plan), so we trade a little maintenance work for correctness —
 //! see DESIGN.md.
 
-use crate::cache::{hash_key, CacheStats, CacheStore};
+mod exec;
+
+use crate::cache::{CacheStats, CacheStore};
 use crate::candidates::{enumerate_candidates, Candidate, EnumerationConfig};
 use crate::cost::{benefit_cost, BenefitCost, CandidateEstimates};
 use crate::memory::{allocate, buckets_for, Allocation, MemoryConfig, MemoryRequest};
@@ -48,6 +50,7 @@ use acq_sketch::bloom::MissProbEstimator;
 use acq_sketch::WindowStat;
 use acq_stream::{Composite, CompositeId, Op, QuerySchema, RelId, Update, Value};
 use acq_telemetry::{Event, EventLog, Histogram, TelemetrySnapshot};
+use exec::{GcTap, Scratch, Walk};
 
 /// Which offline selection algorithm the Re-optimizer runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,7 +198,7 @@ struct Tap {
 }
 
 /// Per-pipeline execution plan derived from candidate states.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PipelinePlan {
     /// `lookup[j]` = used candidate starting at position `j`.
     lookup: Vec<Option<usize>>,
@@ -207,7 +210,7 @@ struct PipelinePlan {
     /// Globally-consistent groups whose segment contains this pipeline's
     /// stream: their segment-join delta is computed separately on every
     /// update to this relation.
-    gc_direct: Vec<Tap>,
+    gc_direct: Vec<GcTap>,
 }
 
 /// Aggregate engine counters.
@@ -324,21 +327,8 @@ pub struct AdaptiveJoinEngine {
     /// to produce new selections get progressively damped by widening the
     /// effective trigger threshold).
     fruitless_streak: u32,
-    /// Scratch buffers reused across updates.
-    scratch_next: Vec<Composite>,
-    /// Reusable pipeline frontier buffer.
-    scratch_frontier: Vec<Composite>,
-    /// Reusable segment-walk frontier for cache misses.
-    scratch_seg: Vec<Composite>,
-    /// Partner buffer for the segment walk's swap loop.
-    scratch_seg_next: Vec<Composite>,
-    /// Reusable `create(u, v)` value staging buffer.
-    scratch_values: Vec<(Composite, u32)>,
-    /// Reusable per-operator profile record for sampled tuples.
-    scratch_profile: Vec<(f64, u64)>,
-    /// Reusable probe/maintenance key buffer (avoids a `Vec<Value>`
-    /// allocation per cache access).
-    scratch_key: Vec<Value>,
+    /// Pipeline-walk buffers reused across updates.
+    scratch: Scratch,
     /// Bounded adaptivity event log.
     events: std::collections::VecDeque<AdaptivityEvent>,
     /// Per-pipeline operator metrics (telemetry; reset when orders change).
@@ -412,13 +402,7 @@ impl AdaptiveJoinEngine {
             last_epoch_ns: 0,
             orderer: GreedyOrderer::default(),
             fruitless_streak: 0,
-            scratch_next: Vec::new(),
-            scratch_frontier: Vec::new(),
-            scratch_seg: Vec::new(),
-            scratch_seg_next: Vec::new(),
-            scratch_values: Vec::new(),
-            scratch_profile: Vec::new(),
-            scratch_key: Vec::new(),
+            scratch: Scratch::default(),
             events: std::collections::VecDeque::new(),
             op_metrics: num_ops.iter().map(|&k| PipelineMetrics::new(k)).collect(),
             group_stats: Vec::new(),
@@ -499,6 +483,11 @@ impl AdaptiveJoinEngine {
 
     /// Recompile operators after external index changes.
     pub fn recompile(&mut self) {
+        self.compile_pipelines();
+        self.rebuild_plans();
+    }
+
+    fn compile_pipelines(&mut self) {
         self.compiled = self
             .orders
             .pipelines
@@ -645,13 +634,28 @@ impl AdaptiveJoinEngine {
             };
             if c.cand.is_global() {
                 // Maintained by separate delta computation on updates to
-                // segment relations.
+                // segment relations: the updated tuple joins the other
+                // segment relations in segment order.
                 for &l in &c.cand.segment {
                     if tap_added.contains(&(g, l)) {
                         continue;
                     }
                     tap_added.push((g, l));
-                    plans[l.0 as usize].gc_direct.push(tap.clone());
+                    let mut done = vec![l];
+                    let mut ops = Vec::new();
+                    for &target in c.cand.segment.iter().filter(|&&r| r != l) {
+                        ops.push(CompiledOp::compile(
+                            self.core.query(),
+                            self.core.relations(),
+                            &done,
+                            target,
+                        ));
+                        done.push(target);
+                    }
+                    plans[l.0 as usize].gc_direct.push(GcTap {
+                        tap: tap.clone(),
+                        ops,
+                    });
                 }
             } else {
                 let tap_pos = c.cand.segment.len() - 1;
@@ -725,24 +729,33 @@ impl AdaptiveJoinEngine {
 
         let pi = u.rel.0 as usize;
         self.op_metrics[pi].record_update();
-        // Move this pipeline's plan out of `self` for the duration of the
-        // update: the executor borrows taps/bloom/lookup tables directly
-        // instead of cloning them per update. Restored before
-        // `maybe_housekeeping`, which may rebuild `self.plans` wholesale.
-        let plan = std::mem::take(&mut self.plans[pi]);
+        let before = out.len();
+        let (relations, meter) = self.core.split();
+        let mut walk = Walk {
+            relations,
+            meter,
+            stream: u.rel,
+            ops: &self.compiled[pi],
+            plan: &self.plans[pi],
+            cands: &mut self.cands,
+            stores: &mut self.stores,
+            profiler: &mut self.profiler,
+            online: &mut self.online,
+            metrics: &mut self.op_metrics[pi],
+            counters: &mut self.counters,
+            scratch: &mut self.scratch,
+            fault: self.fault,
+        };
         // Globally-consistent maintenance: compute the segment-join delta
         // separately (§6; the prefix invariant doesn't hand it to us) and
         // apply it before any pipeline runs.
-        if !plan.gc_direct.is_empty() {
-            self.maintain_gc_direct(&plan.gc_direct, u.rel, &tref, u.op);
+        if !walk.plan.gc_direct.is_empty() {
+            walk.maintain_gc_direct(&tref, u.op);
         }
-
-        let profiled = self.profiler.should_profile(u.rel);
-        // The pipeline writes `(op, composite)` deltas straight into the
+        let profiled = walk.profiler.should_profile(u.rel);
+        // The walk writes `(op, composite)` deltas straight into the
         // caller's sink — no staging vector, no second copy per delta.
-        let before = out.len();
-        self.run_pipeline(pi, &plan, Composite::unit(tref), u.op, profiled, out);
-        self.plans[pi] = plan;
+        walk.run(&tref, u.op, profiled, out);
 
         let produced = out.len() - before;
         self.core.charge_outputs(produced);
@@ -769,346 +782,6 @@ impl AdaptiveJoinEngine {
     /// executor's deterministic merge needs the per-update boundaries.
     pub fn process_batch_grouped(&mut self, updates: &[Update]) -> Vec<Vec<(Op, Composite)>> {
         updates.iter().map(|u| self.process(u)).collect()
-    }
-
-    /// Walk one composite through pipeline `pi`, honouring caches, taps, and
-    /// profiling. Results are appended to `out` (a reused caller buffer —
-    /// this function performs no per-update allocation once scratch buffers
-    /// are warm).
-    fn run_pipeline(
-        &mut self,
-        pi: usize,
-        plan: &PipelinePlan,
-        seed: Composite,
-        op_kind: Op,
-        profiled: bool,
-        out: &mut Vec<(Op, Composite)>,
-    ) {
-        let num_ops = self.compiled[pi].len();
-        let mut frontier = std::mem::take(&mut self.scratch_frontier);
-        frontier.clear();
-        frontier.push(seed);
-        let mut profile_rec = std::mem::take(&mut self.scratch_profile);
-        profile_rec.clear();
-        if profiled {
-            self.core.charge(self.core.cost_model().profile_overhead);
-        }
-
-        let mut j = 0usize;
-        while j < num_ops {
-            // (a) plain-cache maintenance taps at this position.
-            if !plan.taps[j].is_empty() && !frontier.is_empty() {
-                self.feed_plain_taps(&plan.taps[j], &frontier, op_kind);
-            }
-            // (b) Bloom probe-stream feeds for profiled candidates.
-            if !plan.bloom[j].is_empty() && !frontier.is_empty() {
-                self.feed_bloom(&plan.bloom[j], &frontier);
-            }
-            if frontier.is_empty() {
-                // Record zeroes for remaining positions if profiling.
-                if profiled {
-                    profile_rec.push((0.0, 0));
-                }
-                j += 1;
-                continue;
-            }
-            // (c) CacheLookup (skipped for profiled tuples, §4.3/App. A).
-            let lookup = if profiled { None } else { plan.lookup[j] };
-            if let Some(ci) = lookup {
-                let mut next = std::mem::take(&mut self.scratch_next);
-                next.clear();
-                let end = self.cache_segment(pi, ci, &mut frontier, op_kind, &mut next);
-                std::mem::swap(&mut frontier, &mut next);
-                self.scratch_next = next;
-                j = end + 1;
-                continue;
-            }
-            // (d) plain operator execution.
-            let t0 = self.core.now_ns();
-            let in_count = frontier.len();
-            self.scratch_next.clear();
-            let op = &self.compiled[pi][j];
-            let mut next = std::mem::take(&mut self.scratch_next);
-            for c in frontier.drain(..) {
-                let before = next.len();
-                self.core.probe_join_owned(c, op, &mut next);
-                let total_preds = op.index_access.is_some() as usize + op.residual.len();
-                if total_preds == 1 {
-                    let source = op
-                        .index_access
-                        .map(|(_, p)| p.rel)
-                        .unwrap_or_else(|| op.residual[0].1.rel);
-                    self.online.record_probe(
-                        source,
-                        op.target,
-                        next.len() - before,
-                        self.core.relation(op.target).len(),
-                    );
-                }
-            }
-            let dt = self.core.now_ns() - t0;
-            if profiled {
-                profile_rec.push((in_count as f64, dt));
-            }
-            self.op_metrics[pi].record_op(j, in_count as u64, next.len() as u64, dt);
-            std::mem::swap(&mut frontier, &mut next);
-            self.scratch_next = next;
-            self.scratch_next.clear();
-            j += 1;
-        }
-
-        if profiled {
-            profile_rec.push((frontier.len() as f64, 0));
-            // Pad to positions+1 if cache bypass shortened the walk — cannot
-            // happen for profiled tuples (caches disabled), assert instead.
-            debug_assert_eq!(profile_rec.len(), num_ops + 1);
-            self.profiler
-                .record_profiled(RelId(pi as u16), &profile_rec);
-        }
-        self.scratch_profile = profile_rec;
-        out.extend(frontier.drain(..).map(|c| (op_kind, c)));
-        self.scratch_frontier = frontier;
-    }
-
-    /// Probe a used cache for every frontier composite; on miss, run the
-    /// covered segment and `create` the entry. Appends the resulting
-    /// frontier to `out` and returns the segment end position.
-    ///
-    /// Hash-once discipline: the probe key is assembled in a reused scratch
-    /// buffer and hashed a single time; the same hash serves the probe, the
-    /// Bloom pre-filter, and the `create` on a miss. Steady state allocates
-    /// nothing (displaced entries donate their buffers to new ones).
-    fn cache_segment(
-        &mut self,
-        pi: usize,
-        ci: usize,
-        frontier: &mut Vec<Composite>,
-        op_kind: Op,
-        out: &mut Vec<Composite>,
-    ) -> usize {
-        let (start, end, group, is_global) = {
-            let c = &self.cands[ci].cand;
-            (c.start, c.end, c.group, c.is_global())
-        };
-        // Move the candidate's attribute/segment lists out instead of
-        // cloning them per call; nothing below reads `self.cands`, and both
-        // are restored before return. The store moves out likewise, so hit
-        // entries can be spliced into `out` without an intermediate clone of
-        // the whole value list.
-        let key_attrs = std::mem::take(&mut self.cands[ci].cand.probe_attrs);
-        let segment = std::mem::take(&mut self.cands[ci].cand.segment);
-        let mut key = std::mem::take(&mut self.scratch_key);
-        let mut seg_frontier = std::mem::take(&mut self.scratch_seg);
-        let mut seg_next = std::mem::take(&mut self.scratch_seg_next);
-        let mut values = std::mem::take(&mut self.scratch_values);
-        let mut store = self.stores[group].take().expect("used cache has a store");
-        let key_len = key_attrs.len();
-        let model_probe = self.core.cost_model().cache_probe(key_len);
-        let model_hit_per_tuple = self.core.cost_model().cache_hit_per_tuple;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut hit_ns = 0u64;
-        let mut miss_ns = 0u64;
-
-        for c in frontier.drain(..) {
-            let t0 = self.core.now_ns();
-            key.clear();
-            key.extend(
-                key_attrs
-                    .iter()
-                    .map(|a| c.get(*a).expect("probe attrs bound in prefix").clone()),
-            );
-            let hash = hash_key(&key);
-            self.core.charge(model_probe);
-            match store.probe_hashed(&key, hash) {
-                Some(entry) => {
-                    hits += 1;
-                    self.core.charge(entry.len() as u64 * model_hit_per_tuple);
-                    // Splice cached values onto the prefix; the prefix is
-                    // *moved* into the last splice instead of cloned.
-                    let mut c = Some(c);
-                    let mut it = entry.composites().peekable();
-                    while let Some(v) = it.next() {
-                        if it.peek().is_none() {
-                            out.push(c.take().unwrap().concat_owned(v));
-                        } else {
-                            out.push(c.as_ref().unwrap().concat(v));
-                        }
-                    }
-                    hit_ns += self.core.now_ns() - t0;
-                }
-                None => {
-                    misses += 1;
-                    // Run the covered segment for this composite alone
-                    // (seeded with the moved prefix — no clone).
-                    seg_frontier.clear();
-                    seg_frontier.push(c);
-                    for op in &self.compiled[pi][start..=end] {
-                        seg_next.clear();
-                        for f in seg_frontier.drain(..) {
-                            self.core.probe_join_owned(f, op, &mut seg_next);
-                        }
-                        std::mem::swap(&mut seg_frontier, &mut seg_next);
-                        if seg_frontier.is_empty() {
-                            break;
-                        }
-                    }
-                    // create(u, v): v restricted to segment relations.
-                    values.clear();
-                    values.extend(
-                        seg_frontier
-                            .iter()
-                            .filter_map(|f| f.restrict(&segment))
-                            .map(|v| (v, 1)),
-                    );
-                    let create_cost = self.core.cost_model().cache_update(values.len());
-                    store.create_hashed(&key, hash, values.drain(..));
-                    self.core.charge(create_cost);
-                    out.append(&mut seg_frontier);
-                    miss_ns += self.core.now_ns() - t0;
-                }
-            }
-        }
-        // For deletes probing a *global* cache the semantics are identical:
-        // cached values reflect the current segment join (upper bound), and
-        // the probing prefix tuple was already removed from its store.
-        let _ = (op_kind, is_global);
-        self.stores[group] = Some(store);
-        self.scratch_key = key;
-        self.scratch_seg = seg_frontier;
-        self.scratch_seg_next = seg_next;
-        self.scratch_values = values;
-        self.cands[ci].cand.probe_attrs = key_attrs;
-        self.cands[ci].cand.segment = segment;
-        self.counters.cache_hits += hits;
-        self.counters.cache_misses += misses;
-        self.cands[ci].hits += hits;
-        self.cands[ci].misses += misses;
-        self.cands[ci].hit_ns += hit_ns;
-        self.cands[ci].miss_ns += miss_ns;
-        end
-    }
-
-    /// Feed plain-cache maintenance deltas (§3.2): the frontier at the tap
-    /// position, restricted to the segment, inserted/deleted per the update's
-    /// kind.
-    fn feed_plain_taps(&mut self, taps: &[Tap], frontier: &[Composite], op_kind: Op) {
-        let mut cost = 0u64;
-        let mut key = std::mem::take(&mut self.scratch_key);
-        for tap in taps {
-            let Some(store) = self.stores[tap.group].as_mut() else {
-                continue;
-            };
-            for c in frontier {
-                let Some(seg) = c.restrict(&tap.segment) else {
-                    continue;
-                };
-                key.clear();
-                key.extend(
-                    tap.maint_attrs
-                        .iter()
-                        .map(|a| seg.get(*a).expect("maint attrs bound in segment").clone()),
-                );
-                let hash = hash_key(&key);
-                match op_kind {
-                    Op::Insert if self.fault != Some(InjectedFault::SkipTapInserts) => {
-                        store.insert_hashed(&key, hash, seg, 1)
-                    }
-                    Op::Delete if self.fault != Some(InjectedFault::SkipTapDeletes) => {
-                        store.delete_hashed(&key, hash, &seg, 1)
-                    }
-                    _ => {}
-                }
-                cost += 1;
-            }
-        }
-        self.scratch_key = key;
-        let per = self.core.cost_model().cache_update(1);
-        self.core.charge(cost * per);
-    }
-
-    /// Separately-computed maintenance for globally-consistent caches: join
-    /// the updated tuple with the other segment relations (charged through
-    /// the normal operator costs) and apply the resulting segment-join delta.
-    fn maintain_gc_direct(
-        &mut self,
-        taps: &[Tap],
-        rel: RelId,
-        tref: &acq_stream::TupleRef,
-        op_kind: Op,
-    ) {
-        for tap in taps {
-            if self.stores[tap.group].is_none() {
-                continue;
-            }
-            // Progressive join through the remaining segment relations.
-            let mut frontier = vec![Composite::unit(tref.clone())];
-            let mut done: Vec<RelId> = vec![rel];
-            let mut next = Vec::new();
-            for &target in tap.segment.iter().filter(|&&r| r != rel) {
-                let op =
-                    CompiledOp::compile(self.core.query(), self.core.relations(), &done, target);
-                next.clear();
-                for c in &frontier {
-                    self.core.probe_join(c, &op, &mut next);
-                }
-                std::mem::swap(&mut frontier, &mut next);
-                done.push(target);
-                if frontier.is_empty() {
-                    break;
-                }
-            }
-            if frontier.is_empty() {
-                continue;
-            }
-            let per = self.core.cost_model().cache_update(1);
-            self.core.charge(frontier.len() as u64 * per);
-            let mut key = std::mem::take(&mut self.scratch_key);
-            let store = self.stores[tap.group].as_mut().expect("checked above");
-            for c in &frontier {
-                let Some(seg) = c.restrict(&tap.segment) else {
-                    continue;
-                };
-                key.clear();
-                key.extend(
-                    tap.maint_attrs
-                        .iter()
-                        .map(|a| seg.get(*a).expect("maint attrs bound").clone()),
-                );
-                let hash = hash_key(&key);
-                match op_kind {
-                    Op::Insert => store.insert_hashed(&key, hash, seg, 1),
-                    Op::Delete => store.delete_hashed(&key, hash, &seg, 1),
-                }
-            }
-            self.scratch_key = key;
-        }
-    }
-
-    /// Feed Bloom miss-probability estimators with probe-key hashes.
-    fn feed_bloom(&mut self, cand_idxs: &[usize], frontier: &[Composite]) {
-        let bloom_cost = self.core.cost_model().bloom_insert;
-        let mut charged = 0u64;
-        for &ci in cand_idxs {
-            // Move the attr list out instead of cloning it per update; the
-            // loop below only touches the candidate's estimator state, and
-            // the list is restored right after.
-            let attrs = std::mem::take(&mut self.cands[ci].cand.probe_attrs);
-            for c in frontier {
-                let mut h = acq_sketch::FxHasher::default();
-                for a in &attrs {
-                    c.get(*a).expect("probe attr bound").hash_into(&mut h);
-                }
-                use std::hash::Hasher;
-                let obs = self.cands[ci].miss_est.observe(h.finish());
-                if let Some(miss) = obs {
-                    self.cands[ci].miss_window.push(miss);
-                }
-                charged += 1;
-            }
-            self.cands[ci].cand.probe_attrs = attrs;
-        }
-        self.core.charge(charged * bloom_cost);
     }
 
     // ------------------------------------------------------------------
@@ -1588,7 +1261,7 @@ impl AdaptiveJoinEngine {
     pub fn set_orders(&mut self, orders: PlanOrders) {
         orders.validate(self.core.query()).expect("invalid plan");
         self.orders = orders;
-        self.recompile();
+        self.compile_pipelines();
         self.op_metrics = self
             .orders
             .pipelines

@@ -8,33 +8,59 @@
 //!   test and the runtime integration tests.)
 //! * **Drop-while-nonempty leak check** — the ring's `Drop` must drain and
 //!   drop unconsumed items. Proven two ways: a drop-counting payload, and a
-//!   global alloc/dealloc-counting allocator balancing heap traffic across
-//!   the ring's whole lifetime.
+//!   per-thread alloc/dealloc-counting allocator balancing heap traffic
+//!   across the ring's whole lifetime.
 
 use acq::runtime::spsc::ring;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts allocations and deallocations so tests can assert that a scope
 /// returned every byte it took (no leaks, including ring-internal buffers).
+/// Counts are per thread: `cargo test` runs the schedule fuzz on another
+/// thread at the same time, and its allocations must not show up here.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static DEALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+/// `(allocs, deallocs, alloc bytes, dealloc bytes)` of the current thread.
+#[derive(Clone, Copy)]
+struct Traffic {
+    allocs: i64,
+    deallocs: i64,
+    alloc_bytes: i64,
+    dealloc_bytes: i64,
+}
+
+thread_local! {
+    static TRAFFIC: Cell<Traffic> = const {
+        Cell::new(Traffic { allocs: 0, deallocs: 0, alloc_bytes: 0, dealloc_bytes: 0 })
+    };
+}
+
+fn record(f: impl FnOnce(&mut Traffic)) {
+    // `try_with`: the slot is gone while the thread's destructors run.
+    let _ = TRAFFIC.try_with(|t| {
+        let mut v = t.get();
+        f(&mut v);
+        t.set(v);
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        record(|t| {
+            t.allocs += 1;
+            t.alloc_bytes += layout.size() as i64;
+        });
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
-        DEALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        record(|t| {
+            t.deallocs += 1;
+            t.dealloc_bytes += layout.size() as i64;
+        });
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -42,11 +68,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Net `(allocations, bytes)` the current thread holds.
 fn heap_balance() -> (i64, i64) {
-    (
-        ALLOCS.load(Ordering::SeqCst) as i64 - DEALLOCS.load(Ordering::SeqCst) as i64,
-        ALLOC_BYTES.load(Ordering::SeqCst) as i64 - DEALLOC_BYTES.load(Ordering::SeqCst) as i64,
-    )
+    let t = TRAFFIC.with(Cell::get);
+    (t.allocs - t.deallocs, t.alloc_bytes - t.dealloc_bytes)
 }
 
 /// Deterministic xorshift64* — the schedule is reproducible from the seed.

@@ -1,30 +1,115 @@
 //! [`JoinCore`]: relation stores + query graph + virtual clock.
 //!
-//! The single-operator primitive [`JoinCore::probe_join`] implements `./_{i_j}`
-//! of §3.1 — join a (composite) input tuple with one relation, enforcing all
+//! The single-operator primitive [`Meter::probe_row`] implements `./_{i_j}`
+//! of §3.1 — join a borrowed input row with one relation, enforcing all
 //! compiled predicates, via hash index when the operator has an access path
 //! and nested-loop scan otherwise — charging the virtual clock for every
-//! physical step. Plain MJoin, the XJoin baseline, and the A-Caching engine
-//! all drive this primitive; they differ only in *when* they call it and what
-//! state they maintain around it.
+//! physical step. It is the one place the probe charging rules live: the
+//! A-Caching engine walks its pipelines over rows with it, and plain MJoin
+//! and the XJoin baseline call it through the owned-composite wrapper
+//! [`JoinCore::probe_join`].
 
 use crate::clock::{CostModel, VirtualClock};
 use crate::plan::CompiledOp;
 use acq_relation::Relation;
-use acq_stream::{Composite, Op, QuerySchema, RelId, TupleRef, Update};
+use acq_stream::{Composite, Op, QuerySchema, RelId, Row, TupleRef, Update};
 
 /// Shared execution state: one [`Relation`] per joined relation, the query
-/// graph, the cost model, and the virtual clock.
+/// graph, and the [`Meter`] (cost model + virtual clock).
 #[derive(Debug)]
 pub struct JoinCore {
     query: QuerySchema,
     relations: Vec<Relation>,
+    meter: Meter,
+}
+
+/// The charging half of a [`JoinCore`]: cost model, virtual clock and probe
+/// counters. [`JoinCore::split`] hands it out next to a shared borrow of the
+/// relation stores, so a pipeline walk can hold [`Row`]s that point into
+/// the stores while it charges the clock.
+#[derive(Debug)]
+pub struct Meter {
     cost: CostModel,
     clock: VirtualClock,
     /// Index-probe matches resolved `TupleId → TupleRef` by direct slab
     /// indexing (i.e. without a second hash lookup). Telemetry:
     /// `probe.resolved_direct`.
     resolved_direct: u64,
+}
+
+impl Meter {
+    /// The cost model in effect.
+    pub fn cost_model(&self) -> &CostModel {
+        &self.cost
+    }
+
+    /// Current virtual time (ns).
+    #[inline]
+    pub fn now_ns(&self) -> u64 {
+        self.clock.now_ns()
+    }
+
+    /// Charge arbitrary virtual time.
+    #[inline]
+    pub fn charge(&mut self, ns: u64) {
+        self.clock.charge(ns);
+    }
+
+    /// Execute one join operator: join `input` with `op.target` in
+    /// `relations`, passing each matching concatenation `input · t` to
+    /// `emit` in match order. Returns the number of results emitted.
+    ///
+    /// Charges an index probe (or a scan) plus one concat per match; index
+    /// probes with a NULL probe value match nothing but still pay the probe.
+    #[inline]
+    pub fn probe_row<'a>(
+        &mut self,
+        relations: &'a [Relation],
+        input: &Row<'a>,
+        op: &CompiledOp,
+        mut emit: impl FnMut(Row<'a>),
+    ) -> usize {
+        let rel = &relations[op.target.0 as usize];
+        let mut produced = 0usize;
+        match op.index_access {
+            Some((col, probe_attr)) => {
+                let v = input
+                    .get(probe_attr)
+                    .expect("probe attribute must be bound in the prefix");
+                if v.is_null() {
+                    // Equijoin: NULL matches nothing; still pay the probe.
+                    self.clock.charge(self.cost.index_probe);
+                    return 0;
+                }
+                let mut matches = 0usize;
+                for t in rel.probe(col, v) {
+                    matches += 1;
+                    if residuals_hold(input, t, &op.residual) {
+                        emit(input.extend(t));
+                        produced += 1;
+                    }
+                }
+                self.resolved_direct += matches as u64;
+                self.clock.charge(
+                    self.cost.indexed_join(matches, op.residual.len())
+                        + produced as u64 * self.cost.concat,
+                );
+            }
+            None => {
+                for t in rel.scan() {
+                    if residuals_hold(input, t, &op.residual) {
+                        emit(input.extend(t));
+                        produced += 1;
+                    }
+                }
+                self.clock.charge(
+                    self.cost.scan_join(rel.len(), op.residual.len())
+                        + produced as u64 * self.cost.concat,
+                );
+            }
+        }
+        produced
+    }
 }
 
 impl JoinCore {
@@ -50,9 +135,11 @@ impl JoinCore {
         JoinCore {
             query,
             relations,
-            cost,
-            clock: VirtualClock::new(),
-            resolved_direct: 0,
+            meter: Meter {
+                cost,
+                clock: VirtualClock::new(),
+                resolved_direct: 0,
+            },
         }
     }
 
@@ -76,32 +163,38 @@ impl JoinCore {
         &self.relations
     }
 
+    /// The relation stores (shared) and the [`Meter`] (exclusive) at once:
+    /// the borrow a pipeline walk over [`Row`]s needs.
+    pub fn split(&mut self) -> (&[Relation], &mut Meter) {
+        (&self.relations, &mut self.meter)
+    }
+
     /// The cost model in effect.
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+        &self.meter.cost
     }
 
     /// Current virtual time (ns).
     pub fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
+        self.meter.now_ns()
     }
 
     /// Current virtual time (s).
     pub fn now_secs(&self) -> f64 {
-        self.clock.now_secs()
+        self.meter.clock.now_secs()
     }
 
     /// Index-probe matches resolved to their [`TupleRef`] by direct slab
     /// indexing rather than a second hash lookup (the whole probe path
     /// after the one hash on the key value).
     pub fn resolved_direct(&self) -> u64 {
-        self.resolved_direct
+        self.meter.resolved_direct
     }
 
     /// Charge arbitrary virtual time (callers layering extra machinery —
     /// caches, profiling — charge through this).
     pub fn charge(&mut self, ns: u64) {
-        self.clock.charge(ns);
+        self.meter.charge(ns);
     }
 
     /// Apply an update to its relation store, charging maintenance cost.
@@ -114,166 +207,34 @@ impl JoinCore {
     pub fn apply_update(&mut self, u: &Update) -> Option<TupleRef> {
         match u.op {
             Op::Insert => {
-                self.clock.charge(self.cost.store_insert);
+                self.meter.charge(self.meter.cost.store_insert);
                 Some(self.relations[u.rel.0 as usize].insert(&u.data))
             }
             Op::Delete => {
-                self.clock.charge(self.cost.store_delete);
+                self.meter.charge(self.meter.cost.store_delete);
                 self.relations[u.rel.0 as usize].delete(&u.data)
             }
         }
     }
 
-    /// Execute one join operator: join `input` with `op.target`, returning
-    /// the matching concatenations `input · t`.
-    ///
-    /// Results are appended to `out` (callers reuse buffers across calls to
-    /// keep the hot path allocation-free). Returns the number of matches.
+    /// [`Meter::probe_row`] over an owned composite input, appending owned
+    /// results to `out`. Returns the number of results.
     pub fn probe_join(
         &mut self,
         input: &Composite,
         op: &CompiledOp,
         out: &mut Vec<Composite>,
     ) -> usize {
-        let rel = &self.relations[op.target.0 as usize];
-        let before = out.len();
-        match op.index_access {
-            Some((col, probe_attr)) => {
-                let v = input
-                    .get(probe_attr)
-                    .expect("probe attribute must be bound in the prefix");
-                if v.is_null() {
-                    // Equijoin: NULL matches nothing; still pay the probe.
-                    self.clock.charge(self.cost.index_probe);
-                    return 0;
-                }
-                let mut matches = 0usize;
-                for t in rel.probe(col, v) {
-                    matches += 1;
-                    if residuals_hold(input, t, &op.residual) {
-                        out.push(input.extend_with(t.clone()));
-                    }
-                }
-                self.resolved_direct += matches as u64;
-                let produced = out.len() - before;
-                self.clock.charge(
-                    self.cost.indexed_join(matches, op.residual.len())
-                        + produced as u64 * self.cost.concat,
-                );
-                produced
-            }
-            None => {
-                let scanned = rel.len();
-                for t in rel.scan() {
-                    if residuals_hold(input, t, &op.residual) {
-                        out.push(input.extend_with(t.clone()));
-                    }
-                }
-                let produced = out.len() - before;
-                self.clock.charge(
-                    self.cost.scan_join(scanned, op.residual.len())
-                        + produced as u64 * self.cost.concat,
-                );
-                produced
-            }
-        }
-    }
-
-    /// [`probe_join`](Self::probe_join) with an owned input: the prefix is
-    /// *moved* into the output for the final qualifying match instead of
-    /// cloned, so a probe with m matches touches the prefix refcounts m-1
-    /// times rather than m (and zero times for the common m = 1 case).
-    /// Output content and order are identical to the by-ref version.
-    pub fn probe_join_owned(
-        &mut self,
-        input: Composite,
-        op: &CompiledOp,
-        out: &mut Vec<Composite>,
-    ) -> usize {
-        let rel = &self.relations[op.target.0 as usize];
-        let before = out.len();
-        match op.index_access {
-            Some((col, probe_attr)) => {
-                let matches;
-                {
-                    let mut input = Some(input);
-                    let mut it = {
-                        let v = input
-                            .as_ref()
-                            .unwrap()
-                            .get(probe_attr)
-                            .expect("probe attribute must be bound in the prefix");
-                        if v.is_null() {
-                            // Equijoin: NULL matches nothing; still pay the probe.
-                            self.clock.charge(self.cost.index_probe);
-                            return 0;
-                        }
-                        // `probe` captures only the relation borrow, so `v`'s
-                        // borrow of `input` ends with this block.
-                        rel.probe(col, v).peekable()
-                    };
-                    let mut n = 0usize;
-                    while let Some(t) = it.next() {
-                        n += 1;
-                        if !residuals_hold(input.as_ref().unwrap(), t, &op.residual) {
-                            continue;
-                        }
-                        if it.peek().is_none() {
-                            let mut c = input.take().unwrap();
-                            c.push(t.clone());
-                            out.push(c);
-                        } else {
-                            out.push(input.as_ref().unwrap().extend_with(t.clone()));
-                        }
-                    }
-                    matches = n;
-                }
-                self.resolved_direct += matches as u64;
-                let produced = out.len() - before;
-                self.clock.charge(
-                    self.cost.indexed_join(matches, op.residual.len())
-                        + produced as u64 * self.cost.concat,
-                );
-                produced
-            }
-            None => {
-                let scanned = rel.len();
-                for t in rel.scan() {
-                    if residuals_hold(&input, t, &op.residual) {
-                        out.push(input.extend_with(t.clone()));
-                    }
-                }
-                let produced = out.len() - before;
-                self.clock.charge(
-                    self.cost.scan_join(scanned, op.residual.len())
-                        + produced as u64 * self.cost.concat,
-                );
-                produced
-            }
-        }
-    }
-
-    /// Run `seed` through a full compiled pipeline (no caches), returning all
-    /// n-way results. This is the inner loop of plain MJoin processing.
-    pub fn run_pipeline(&mut self, seed: Composite, ops: &[CompiledOp]) -> Vec<Composite> {
-        let mut frontier = vec![seed];
-        let mut next = Vec::new();
-        for op in ops {
-            if frontier.is_empty() {
-                break;
-            }
-            next.clear();
-            for c in frontier.drain(..) {
-                self.probe_join_owned(c, op, &mut next);
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        frontier
+        let (relations, meter) = self.split();
+        meter.probe_row(relations, &Row::of(input), op, |r| {
+            out.push(r.to_composite())
+        })
     }
 
     /// Charge the per-result output cost for `count` emitted deltas.
     pub fn charge_outputs(&mut self, count: usize) {
-        self.clock.charge(count as u64 * self.cost.emit_output);
+        self.meter
+            .charge(count as u64 * self.meter.cost.emit_output);
     }
 }
 
@@ -281,7 +242,7 @@ impl JoinCore {
 /// candidate target tuple and the bound prefix.
 #[inline]
 fn residuals_hold(
-    input: &Composite,
+    input: &Row<'_>,
     candidate: &TupleRef,
     residual: &[(acq_stream::AttrRef, acq_stream::AttrRef)],
 ) -> bool {
@@ -307,6 +268,19 @@ mod tests {
 
     fn chain3_core() -> JoinCore {
         JoinCore::new(QuerySchema::chain3())
+    }
+
+    /// Run `seed` through every operator of `ops` (no caches).
+    fn run_pipeline(core: &mut JoinCore, seed: TupleRef, ops: &[CompiledOp]) -> Vec<Composite> {
+        let mut frontier = vec![Composite::unit(seed)];
+        for op in ops {
+            let mut next = Vec::new();
+            for c in &frontier {
+                core.probe_join(c, op, &mut next);
+            }
+            frontier = next;
+        }
+        frontier
     }
 
     fn ins(core: &mut JoinCore, rel: u16, vals: &[i64]) -> TupleRef {
@@ -342,7 +316,7 @@ mod tests {
             order: vec![RelId(1), RelId(2)],
         };
         let ops = CompiledOp::compile_pipeline(core.query(), core.relations(), &order);
-        let results = core.run_pipeline(Composite::unit(r_new), &ops);
+        let results = run_pipeline(&mut core, r_new, &ops);
         assert_eq!(results.len(), 1);
         let r = &results[0];
         assert_eq!(
@@ -441,7 +415,7 @@ mod tests {
             order: vec![RelId(1), RelId(2)],
         };
         let ops = CompiledOp::compile_pipeline(core.query(), core.relations(), &order);
-        let results = core.run_pipeline(Composite::unit(r_new), &ops);
+        let results = run_pipeline(&mut core, r_new, &ops);
         assert!(results.is_empty());
     }
 }

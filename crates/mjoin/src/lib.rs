@@ -15,8 +15,9 @@
 //!   predicates against the relations already joined, via hash index when
 //!   available).
 //! * [`exec`] — [`exec::JoinCore`]: relation stores + query graph + clock;
-//!   the single-operator `probe_join` primitive that MJoin, XJoin, and the
-//!   A-Caching engine all drive.
+//!   the single-operator row kernel [`exec::Meter::probe_row`] that the
+//!   A-Caching engine drives directly and MJoin and XJoin drive through
+//!   [`exec::JoinCore::probe_join`].
 //! * [`metrics`] — per-pipeline / per-operator execution metrics
 //!   ([`metrics::OpStats`], [`metrics::PipelineMetrics`]) shared by every
 //!   executor, exportable into `acq-telemetry` snapshots.

@@ -10,6 +10,7 @@
 
 pub mod merge;
 pub mod parse;
+pub mod row;
 pub mod schema;
 pub mod tuple;
 pub mod update;
@@ -18,6 +19,7 @@ pub mod window;
 
 pub use merge::{merge_by_timestamp, merge_ordered_runs};
 pub use parse::{parse_query, ParseError};
+pub use row::Row;
 pub use schema::{AttrRef, ColId, EquivClassId, JoinPredicate, QuerySchema, RelId, RelationSchema};
 pub use tuple::{Composite, CompositeId, StoredTuple, TupleData, TupleId, TupleRef, MAX_PARTS};
 pub use update::{Op, StreamElement, Update};

@@ -3,12 +3,14 @@
 //! §3.3 of the paper: *"cached values are sets of references to tuples in
 //! relations, so actual tuples are never copied into the caches."* We realize
 //! that with reference-counted [`StoredTuple`]s: a relation store hands out
-//! [`TupleRef`]s (`Arc<StoredTuple>`), and everything downstream — composite
-//! tuples flowing through pipelines, cache entries, materialized XJoin
-//! subresults — holds references, never copies.
+//! [`TupleRef`]s (`Arc<StoredTuple>`), and everything downstream — result
+//! deltas, cache entries, materialized XJoin subresults — holds references,
+//! never copies.
 //!
-//! A [`Composite`] is the concatenation `r · r_1 · r_2 · …` built as a tuple
-//! moves through a pipeline (§3.1): one part per relation already joined.
+//! A [`Composite`] is an owned concatenation `r · r_1 · r_2 · …` (§3.1): one
+//! part per relation joined. While a pipeline runs, its intermediate tuples
+//! are borrowed [`Row`](crate::Row)s instead; composites are built where a
+//! tuple outlives the walk.
 
 use crate::schema::{AttrRef, RelId};
 use crate::value::Value;
@@ -82,10 +84,14 @@ pub struct StoredTuple {
 /// Shared reference to a stored tuple.
 pub type TupleRef = Arc<StoredTuple>;
 
-/// Maximum number of parts (relations) a [`Composite`] can hold — the size
-/// of [`CompositeId`]'s fixed inline buffer. Every experiment in the paper
-/// (and every realistic stream join) has `n ≤ 16`.
-pub const MAX_PARTS: usize = 16;
+/// Maximum number of parts (relations) a join tuple can hold — the
+/// capacity of a [`Row`](crate::Row) and the size of [`CompositeId`]'s fixed
+/// inline buffer. Every experiment in the paper (and every realistic stream
+/// join) has `n ≤ 15`; Fig. 9's widest star joins 9 relations. 15 keeps a
+/// row (15 part references plus its length) at 128 bytes, the largest copy
+/// the compiler emits inline on x86-64: with 16 slots every row copy became
+/// a `memcpy` call, which measured ~20% slower on chain3.
+pub const MAX_PARTS: usize = 15;
 
 /// Inline part capacity of a [`Composite`]. Joins wider than this spill the
 /// tail parts to a heap vector; at 7 the only workloads that ever spill are
@@ -99,18 +105,16 @@ const INLINE_PARTS: usize = 7;
 /// A concatenated pipeline tuple: one [`TupleRef`] per relation joined so far.
 ///
 /// Parts live in a fixed inline array (capacity `INLINE_PARTS`) rather
-/// than a heap `Vec`: building a composite along a k-step pipeline is the
-/// hottest operation in the engine, and the inline layout makes
-/// [`Composite::unit`] / [`Composite::extend_with`] allocation-free for
-/// every join the repo runs. Wider joins (up to [`MAX_PARTS`]) transparently
-/// spill parts `8..` to a boxed vector. Lookup by relation is a linear scan
-/// — `n ≤ 16`, so this beats any map.
+/// than a heap `Vec`: every result delta and cached value is one, and the
+/// inline layout makes [`Composite::unit`] / [`Composite::extend_with`]
+/// allocation-free for every join the repo runs. Wider joins (up to
+/// [`MAX_PARTS`]) transparently spill parts `8..` to a boxed vector. Lookup
+/// by relation is a linear scan — `n ≤ 15`, so this beats any map.
 ///
 /// The inline slots are `MaybeUninit` with only the first
-/// `min(len, INLINE_PARTS)` initialized: clone and drop — the two dominant
-/// costs of pipeline execution, since every probe output clones its prefix —
-/// touch exactly the occupied slots instead of copying, zero-initializing,
-/// or branch-testing all `INLINE_PARTS` every time.
+/// `min(len, INLINE_PARTS)` initialized: clone and drop touch exactly the
+/// occupied slots instead of copying, zero-initializing, or branch-testing
+/// all `INLINE_PARTS` every time.
 pub struct Composite {
     /// Total part count (inline + spill).
     len: u8,
@@ -215,8 +219,8 @@ impl Composite {
 
     /// Visit every part in pipeline order. Internal iteration keeps the
     /// spill branch outside the loop — the `impl Iterator` chain in
-    /// [`Composite::parts`] costs measurably more in the engine's hottest
-    /// loops (identity packing, segment restriction).
+    /// [`Composite::parts`] costs measurably more in hot loops (cache-hit
+    /// splices, hashing).
     #[inline]
     fn for_each_part(&self, mut f: impl FnMut(&TupleRef)) {
         for p in self.inline_parts() {
@@ -292,42 +296,16 @@ impl Composite {
         self.parts().map(|t| t.rel)
     }
 
-    /// Project onto a subset of relations (given in ascending `RelId`
-    /// order), preserving part order. Returns `None` if some requested
-    /// relation is absent. Used by CacheUpdate operators to restrict a
-    /// pipeline delta to the cached segment's relations (§3.2 maintenance).
-    pub fn restrict(&self, rels: &[RelId]) -> Option<Composite> {
-        debug_assert!(rels.windows(2).all(|w| w[0] < w[1]), "rels must be sorted");
-        let mut c = Composite::empty();
-        self.for_each_part(|t| {
-            if rels.binary_search(&t.rel).is_ok() {
-                c.push(t.clone());
-            }
-        });
-        if c.len() == rels.len() {
-            Some(c)
-        } else {
-            None
-        }
-    }
-
     /// Canonical identity of this composite: sorted, packed `(rel, id)`
     /// pairs in a fixed inline buffer. Two composites over the same stored
     /// tuples are the same join result regardless of pipeline order — this
     /// is the equality used by cache value sets and materialized
     /// subresults. Allocation-free and `Copy`.
     pub fn identity(&self) -> CompositeId {
-        let mut id = CompositeId {
-            len: self.len,
-            packed: [0; MAX_PARTS],
-        };
-        let mut i = 0usize;
-        self.for_each_part(|t| {
-            id.packed[i] = CompositeId::pack(t.rel, t.id);
-            i += 1;
-        });
-        id.packed[..id.len as usize].sort_unstable();
-        id
+        match &self.spill {
+            None => CompositeId::of_parts(self.inline_parts()),
+            Some(v) => CompositeId::of_parts(self.inline_parts().iter().chain(v.iter())),
+        }
     }
 
     /// Approximate memory footprint of the *references* (not the tuples —
@@ -385,6 +363,23 @@ impl CompositeId {
     fn pack(rel: RelId, id: TupleId) -> u64 {
         debug_assert!(id < 1 << Self::ID_BITS, "tuple id exceeds 48 bits");
         ((rel.0 as u64) << Self::ID_BITS) | id
+    }
+
+    /// Identity of the stored tuples `parts`, given in any order.
+    ///
+    /// # Panics
+    /// If there are more than [`MAX_PARTS`] parts.
+    pub fn of_parts<'p>(parts: impl IntoIterator<Item = &'p TupleRef>) -> CompositeId {
+        let mut id = CompositeId {
+            len: 0,
+            packed: [0; MAX_PARTS],
+        };
+        for t in parts {
+            id.packed[id.len as usize] = Self::pack(t.rel, t.id);
+            id.len += 1;
+        }
+        id.packed[..id.len as usize].sort_unstable();
+        id
     }
 
     /// Number of `(rel, id)` pairs.
@@ -504,17 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn restrict_projects_segment() {
-        let c = Composite::unit(t(2, 5, &[99]))
-            .extend_with(t(0, 1, &[1]))
-            .extend_with(t(1, 2, &[1, 99]));
-        let seg = c.restrict(&[RelId(0), RelId(1)]).unwrap();
-        assert_eq!(seg.len(), 2);
-        assert!(seg.part(RelId(2)).is_none());
-        assert!(c.restrict(&[RelId(3)]).is_none(), "absent relation");
-    }
-
-    #[test]
     fn wide_composites_spill_past_inline_capacity() {
         // Joins wider than INLINE_PARTS (e.g. fig09's 9-way star) spill the
         // tail parts to the heap; every accessor must see both halves.
@@ -529,8 +513,6 @@ mod tests {
         let cloned = c.clone();
         assert_eq!(cloned, c);
         assert_eq!(cloned.identity(), c.identity());
-        let seg = c.restrict(&[RelId(2), RelId(10)]).unwrap();
-        assert_eq!(seg.len(), 2);
         assert_eq!(c.identity().pair(11), (RelId(11), 111));
     }
 

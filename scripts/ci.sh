@@ -33,6 +33,26 @@ run cargo test -q --offline -p acq --test spsc_ring || fail=1
 # "smoke" section, never "current".
 run scripts/bench.sh --smoke || fail=1
 
+# Benchmark correctness gate (tier 2): a short run of every perfbench
+# workload checks each batch's deltas against the caching-off engine and
+# the oracle, so a walk that corrupts deltas fails here and not only in a
+# benchmark run. The gate itself must catch a planted tap-delete bug
+# (exit 1); that build goes to its own target directory so it never mixes
+# with the measured one.
+for w in chain3 burst-shift star4; do
+  run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$w" --seconds 1 --trace 0 || fail=1
+done
+echo "==> perfbench chain3 with a planted tap-delete bug must exit 1"
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+  --target-dir perfbench/target/fault-injection --features fault-injection -- \
+  --workload chain3 --seconds 1 --trace 0 --inject-fault skip-tap-deletes >/dev/null 2>&1
+status=$?
+if [ "$status" -ne 1 ]; then
+  echo "planted fault: exit $status, expected 1"
+  fail=1
+fi
+
 # Documentation gate: every public item is documented (missing_docs is
 # enabled crate-side) and rustdoc warnings are errors.
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace || fail=1

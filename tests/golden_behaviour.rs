@@ -1,0 +1,254 @@
+//! Golden behaviour: fixed-seed runs of the A-Caching engine whose
+//! virtual-time charges, profiler samples, plan decisions and delta stream
+//! are pinned exactly.
+//!
+//! The executor's inner data layout (how intermediate tuples are held
+//! while a pipeline runs) may change for speed, but the engine must still
+//! charge, sample and emit exactly as before: the same final virtual time,
+//! the same counters, the same per-operator statistics, the same sequence
+//! of used-cache sets and the same deltas in the same order with the same
+//! part order. Any drift in these values is a behaviour change.
+
+use acq::engine::{AdaptiveJoinEngine, EngineConfig, ReoptInterval, SelectionStrategy};
+use acq::EnumerationConfig;
+use acq_gen::column::ColumnGen;
+use acq_gen::spec::{chain3_default, Burst, StreamSpec, Workload};
+use acq_mjoin::plan::{PipelineOrder, PlanOrders};
+use acq_stream::{Op, QuerySchema, RelId, Update};
+use acq_telemetry::MetricValue;
+
+/// Everything the golden runs pin.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    virtual_ns: u64,
+    /// tuples processed, outputs, cache hits, cache misses,
+    /// re-optimizations, demotions, reorderings, `probe.resolved_direct`.
+    counters: [u64; 8],
+    /// `(op.tuples_in, op.tuples_out, op.cost_ns)` per pipeline, per
+    /// operator position.
+    ops: Vec<[u64; 3]>,
+    /// The distinct used-cache sets in the order the engine adopted them.
+    plans: Vec<String>,
+    /// Order-sensitive FNV-1a hash over every delta: its kind, then each
+    /// part's `(relation, tuple id)` in part order.
+    delta_hash: u64,
+    deltas: u64,
+}
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+fn observe(mut engine: AdaptiveJoinEngine, updates: &[Update]) -> Observed {
+    let mut plans: Vec<String> = Vec::new();
+    let mut hash = Fnv(0xCBF2_9CE4_8422_2325);
+    let mut deltas = 0u64;
+    let mut out = Vec::new();
+    for u in updates {
+        out.clear();
+        engine.process_into(u, &mut out);
+        for (op, c) in &out {
+            hash.word(matches!(op, Op::Insert) as u64);
+            for t in c.parts() {
+                hash.word(((t.rel.0 as u64) << 48) | t.id);
+            }
+            deltas += 1;
+        }
+        let used = engine.used_caches().join(" ");
+        if plans.last() != Some(&used) {
+            plans.push(used);
+        }
+    }
+    let s = engine.telemetry_snapshot();
+    let counter = |name: &str, labels: &[(&str, &str)]| match s.get(name, labels) {
+        Some(MetricValue::Counter(v)) => *v,
+        other => panic!("{name} {labels:?} is not a counter: {other:?}"),
+    };
+    let c = engine.counters();
+    let mut ops = Vec::new();
+    for (pi, p) in engine.orders().pipelines.iter().enumerate() {
+        for j in 0..p.order.len() {
+            let (pl, jl) = (pi.to_string(), j.to_string());
+            let labels = [("pipeline", pl.as_str()), ("op", jl.as_str())];
+            ops.push([
+                counter("op.tuples_in", &labels),
+                counter("op.tuples_out", &labels),
+                counter("op.cost_ns", &labels),
+            ]);
+        }
+    }
+    Observed {
+        virtual_ns: counter("engine.virtual_ns", &[]),
+        counters: [
+            c.tuples_processed,
+            c.outputs_emitted,
+            c.cache_hits,
+            c.cache_misses,
+            c.reoptimizations,
+            c.demotions,
+            c.reorderings,
+            counter("probe.resolved_direct", &[]),
+        ],
+        ops,
+        plans,
+        delta_hash: hash.0,
+        deltas,
+    }
+}
+
+/// §7.2 default chain, adaptive plain caches, identity orders.
+fn chain3_run() -> Observed {
+    let q = QuerySchema::chain3();
+    let engine = AdaptiveJoinEngine::with_config(
+        q.clone(),
+        PlanOrders::identity(&q),
+        EngineConfig::default(),
+    );
+    let updates = chain3_default(5, 100, 7).generate(40_000);
+    observe(engine, &updates)
+}
+
+/// Figure 12: cyclic domains, ∆T at 5×, ∆R ×20 after 20,000 arrivals,
+/// globally-consistent candidates, re-optimization every 10,000 updates.
+fn fig12_run() -> Observed {
+    const DOMAIN: u64 = 100;
+    let cyc = |mult| ColumnGen::Seq {
+        multiplicity: mult,
+        stride: 1,
+        offset: 0,
+        domain: DOMAIN,
+    };
+    let updates = Workload::new(
+        vec![
+            StreamSpec::new(0, 1.0, DOMAIN as usize, vec![cyc(1)]),
+            StreamSpec::new(1, 1.0, DOMAIN as usize, vec![cyc(1), cyc(1)]),
+            StreamSpec::new(2, 5.0, (DOMAIN * 5) as usize, vec![cyc(5)]),
+        ],
+        12,
+    )
+    .with_burst(Burst {
+        rel: RelId(0),
+        start_after_elements: 20_000,
+        end_after_elements: u64::MAX,
+        factor: 20.0,
+    })
+    .generate(60_000);
+    let p = |s: u16, order: [u16; 2]| PipelineOrder {
+        stream: RelId(s),
+        order: order.map(RelId).to_vec(),
+    };
+    let orders = PlanOrders::new(vec![p(0, [1, 2]), p(1, [0, 2]), p(2, [1, 0])]);
+    let config = EngineConfig {
+        reopt_interval: ReoptInterval::Tuples(10_000),
+        selection: SelectionStrategy::Exhaustive,
+        enumeration: EnumerationConfig {
+            enable_global: true,
+            max_candidates: 6,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let engine = AdaptiveJoinEngine::with_config(QuerySchema::chain3(), orders, config);
+    observe(engine, &updates)
+}
+
+/// Figure 9's four-way star (multiplicities 1, 1, 5, 5): three operators
+/// per pipeline, so caches can end before the last one and cache-hit
+/// results continue through a further probe.
+fn star4_run() -> Observed {
+    let streams = (0..4u16)
+        .map(|r| {
+            let join_col = ColumnGen::BlockRandom {
+                domain: 200,
+                repeat: if r < 2 { 1 } else { 5 },
+                salt: 0xA5A5_0000 + r as u64,
+            };
+            StreamSpec::new(r, 1.0, 200, vec![join_col, ColumnGen::seq()])
+        })
+        .collect();
+    let updates = Workload::new(streams, 9).generate(40_000);
+    let q = QuerySchema::star(4);
+    let engine = AdaptiveJoinEngine::with_config(
+        q.clone(),
+        PlanOrders::identity(&q),
+        EngineConfig::default(),
+    );
+    observe(engine, &updates)
+}
+
+fn plans(names: &[&str]) -> Vec<String> {
+    names.iter().map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn chain3_matches_golden() {
+    let expected = Observed {
+        virtual_ns: 25_355_386_650,
+        counters: [79_300, 56_645, 41_582, 6_700, 2, 0, 0, 1_520_455],
+        ops: vec![
+            [11_330, 5_615, 118_615_000],
+            [5_615, 28_075, 235_830_000],
+            [11_330, 5_715, 119_315_000],
+            [5_715, 0, 40_005_000],
+            [8_358, 811_050, 4_055_250_000],
+            [811_050, 980, 9_127_742_500],
+        ],
+        plans: plans(&["", "C[∆R2: R0⋈R1 @0..1]"]),
+        delta_hash: 8_751_838_108_590_015_211,
+        deltas: 56_645,
+    };
+    assert_eq!(chain3_run(), expected);
+}
+
+#[test]
+fn fig12_burst_matches_golden() {
+    let expected = Observed {
+        virtual_ns: 4_764_014_900,
+        counters: [119_300, 421_652, 61_912, 4_855, 5, 0, 0, 275_508],
+        ops: vec![
+            [20_499, 20_399, 286_286_000],
+            [20_399, 101_995, 856_758_000],
+            [8_694, 8_694, 121_716_000],
+            [8_694, 42_970, 361_648_000],
+            [23_340, 23_340, 326_760_000],
+            [23_340, 23_340, 326_760_000],
+        ],
+        plans: plans(&["", "C[∆R2: R0⋈R1 @0..1]", "C[∆R0: R1⋈R2⋉ @0..1]"]),
+        delta_hash: 7_568_347_208_084_995_855,
+        deltas: 421_652,
+    };
+    assert_eq!(fig12_run(), expected);
+}
+
+#[test]
+fn star4_matches_golden() {
+    let expected = Observed {
+        virtual_ns: 3_722_757_850,
+        counters: [79_200, 82_943, 16_933, 902, 1, 0, 0, 196_377],
+        ops: vec![
+            [19_800, 19_489, 275_023_000],
+            [19_489, 19_081, 284_300_750],
+            [19_081, 22_017, 320_711_500],
+            [19_800, 19_488, 275_016_000],
+            [19_488, 19_272, 285_774_000],
+            [19_272, 21_475, 317_441_500],
+            [10_883, 10_672, 150_885_000],
+            [10_672, 10_378, 155_133_500],
+            [19_067, 19_774, 301_548_000],
+            [10_882, 10_471, 149_471_000],
+            [10_471, 10_854, 157_415_500],
+            [10_854, 11_265, 171_730_500],
+        ],
+        plans: plans(&["", "C[∆R2: R0⋈R1 @0..1] C[∆R3: R0⋈R1⋈R2 @0..2]"]),
+        delta_hash: 2_148_835_684_431_216_726,
+        deltas: 82_943,
+    };
+    assert_eq!(star4_run(), expected);
+}
