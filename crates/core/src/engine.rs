@@ -341,6 +341,8 @@ pub struct AdaptiveJoinEngine {
     granted_bytes: Vec<usize>,
     /// Distribution of result-delta counts per processed update.
     out_hist: Histogram,
+    /// Deletes that found no live instance, per relation.
+    absent_deletes: Vec<u64>,
     /// Structured telemetry event log (virtual-time stamped).
     tlog: EventLog,
     /// Harness-injected maintenance bug; always `None` in production.
@@ -408,6 +410,7 @@ impl AdaptiveJoinEngine {
             group_stats: Vec::new(),
             granted_bytes: Vec::new(),
             out_hist: Histogram::new(),
+            absent_deletes: vec![0; n],
             tlog: EventLog::default(),
             fault: None,
             retired_hits: 0,
@@ -721,6 +724,8 @@ impl AdaptiveJoinEngine {
         // store application is irrelevant (we invalidate by tuple identity
         // after removal — we need the removed tuple's id, so apply first).
         let Some(tref) = self.core.apply_update(u) else {
+            // Only a delete of data with no live instance lands here.
+            self.absent_deletes[u.rel.0 as usize] += 1;
             self.maybe_housekeeping();
             return;
         };
@@ -1358,6 +1363,9 @@ impl AdaptiveJoinEngine {
             self.core.now_secs(),
         );
         s.histogram("engine.outputs_per_update", &[], &self.out_hist);
+        for (r, &n) in self.absent_deletes.iter().enumerate() {
+            s.counter("relation.absent_deletes", &[("rel", &r.to_string())], n);
+        }
         s.gauge("memory.cache_bytes", &[], self.cache_memory_bytes() as f64);
         crate::memory::snapshot_allocations(&mut s, &self.granted_bytes);
         for (pi, pm) in self.op_metrics.iter().enumerate() {
@@ -1614,6 +1622,30 @@ mod tests {
             engine.process(&Update::delete(RelId(2), TupleData::ints(&[i]), 2));
             engine.process(&Update::insert(RelId(2), TupleData::ints(&[i]), 2));
         }
+    }
+
+    #[test]
+    fn absent_delete_is_counted_and_emits_nothing() {
+        let mut engine = forced_engine();
+        engine.process(&Update::insert(RelId(2), TupleData::ints(&[1]), 0));
+        let before = engine.telemetry_snapshot();
+        let out = engine.process(&Update::delete(RelId(2), TupleData::ints(&[9]), 1));
+        let after = engine.telemetry_snapshot();
+        assert!(out.is_empty(), "absent delete emitted {out:?}");
+        let count = |s: &TelemetrySnapshot, name: &str, labels: &[(&str, &str)]| match s
+            .get(name, labels)
+        {
+            Some(acq_telemetry::MetricValue::Counter(v)) => *v,
+            other => panic!("{name} {labels:?}: {other:?}"),
+        };
+        let delta = |name: &str, labels: &[(&str, &str)]| {
+            count(&after, name, labels) - count(&before, name, labels)
+        };
+        assert_eq!(delta("engine.tuples_processed", &[]), 1);
+        assert_eq!(delta("pipeline.updates", &[("pipeline", "2")]), 0);
+        assert_eq!(delta("relation.absent_deletes", &[("rel", "2")]), 1);
+        assert_eq!(delta("relation.absent_deletes", &[("rel", "0")]), 0);
+        assert_eq!(engine.core.relation(RelId(2)).len(), 1);
     }
 
     #[test]

@@ -908,6 +908,24 @@ mod tests {
     }
 
     #[test]
+    fn absent_deletes_sum_over_shards() {
+        // chain3 partitions on A: R routes to one shard, T(B) broadcasts,
+        // so an absent T delete counts once on every shard.
+        use acq_telemetry::MetricValue::Counter;
+        let mut sharded = ShardedEngine::new(QuerySchema::chain3(), 2);
+        assert!(sharded.process(&del(0, &[9], 0)).is_empty());
+        assert!(sharded.process(&del(2, &[9], 1)).is_empty());
+        let snap = sharded.telemetry_snapshot();
+        let count = |rel: &str| {
+            snap.get("relation.absent_deletes", &[("rel", rel)])
+                .cloned()
+        };
+        assert_eq!(count("0"), Some(Counter(1)));
+        assert_eq!(count("1"), Some(Counter(0)));
+        assert_eq!(count("2"), Some(Counter(2)));
+    }
+
+    #[test]
     fn auto_class_prefers_widest_coverage() {
         // Star: the single A class covers everything.
         let q = QuerySchema::star(4);

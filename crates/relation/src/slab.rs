@@ -8,13 +8,14 @@
 //! [`SlabStore::get`] is two array indexings — no second hash lookup after
 //! an index probe has already produced the ids.
 //!
-//! Out-of-order deletes (multiset deletes pop the *most recent* matching
-//! instance, and window churn can evict mid-band) simply leave `None` gaps;
-//! a page is reclaimed when it empties *and* reaches the front of the ring.
-//! Worst-case overhead for a pinned oldest tuple is 8 bytes per id of span —
-//! negligible against the tuples themselves. Reclaimed pages are pooled and
-//! reissued, so a steady-state window cycles through pages without touching
-//! the allocator.
+//! A front cursor tracks the oldest live id, so [`SlabStore::first`] — the
+//! tuple a sliding window expires next — is O(1). Out-of-order deletes
+//! (a delete whose data does not match the front tuple) simply leave `None`
+//! gaps; a page is reclaimed when it empties *and* reaches the front of the
+//! ring. Worst-case overhead for a pinned oldest tuple is 8 bytes per id of
+//! span — negligible against the tuples themselves. Reclaimed pages are
+//! pooled and reissued, so a steady-state window cycles through pages
+//! without touching the allocator.
 
 use acq_stream::{TupleId, TupleRef};
 use std::collections::VecDeque;
@@ -50,6 +51,8 @@ pub struct SlabStore {
     pages: VecDeque<Box<Page>>,
     /// Id of slot 0 of `pages[0]`.
     head_base: TupleId,
+    /// Smallest live id while `len > 0`: every slot below it is empty.
+    front: TupleId,
     len: usize,
     /// Retired empty pages kept for reuse. Boxed on purpose: pages move
     /// between here and `pages` as a pointer swap, not a 64-slot memcpy.
@@ -63,6 +66,7 @@ impl SlabStore {
         SlabStore {
             pages: VecDeque::new(),
             head_base: 0,
+            front: 0,
             len: 0,
             free: Vec::new(),
         }
@@ -113,11 +117,15 @@ impl SlabStore {
         assert!(slot.is_none(), "slot {id} already occupied");
         *slot = Some(t);
         page.occupied += 1;
+        if self.len == 0 {
+            self.front = id;
+        }
         self.len += 1;
     }
 
     /// Remove and return the tuple stored under `id`, if any. Empty front
-    /// pages are recycled into the free pool.
+    /// pages are recycled into the free pool, and removing the oldest tuple
+    /// moves the front cursor to the next live one.
     pub fn remove(&mut self, id: TupleId) -> Option<TupleRef> {
         let (p, s) = self.locate(id)?;
         let page = &mut self.pages[p];
@@ -134,7 +142,24 @@ impl SlabStore {
                 self.free.push(page);
             }
         }
+        if id == self.front && self.len != 0 {
+            // Walk the cursor to the next live id. It only moves forward, so
+            // the walks cost O(1) amortised per id; page pops leave
+            // `pages[0]` occupied, so a cursor they passed restarts there.
+            let mut off = (id + 1).saturating_sub(self.head_base) as usize;
+            while self.pages[off / PAGE].slots[off % PAGE].is_none() {
+                off += 1;
+            }
+            self.front = self.head_base + off as u64;
+        }
         Some(t)
+    }
+
+    /// The oldest live tuple, if any — O(1) through the front cursor (an
+    /// empty store holds no pages, so a stale cursor resolves to `None`).
+    #[inline]
+    pub fn first(&self) -> Option<&TupleRef> {
+        self.get(self.front)
     }
 
     /// The tuple stored under `id`, if any — O(1), two array indexings.
@@ -227,6 +252,38 @@ mod tests {
         s.insert(500, t(500));
         assert_eq!(s.get(500).unwrap().id, 500);
         assert!(s.get(499).is_none());
+    }
+
+    #[test]
+    fn first_follows_the_oldest_live_id() {
+        let mut s = SlabStore::new();
+        assert!(s.first().is_none());
+        for id in 5..300 {
+            s.insert(id, t(id));
+        }
+        assert_eq!(s.first().unwrap().id, 5);
+        // A mid-band removal leaves the front alone.
+        s.remove(6);
+        assert_eq!(s.first().unwrap().id, 5);
+        // Removing the front skips the gap, and whole emptied pages.
+        s.remove(5);
+        assert_eq!(s.first().unwrap().id, 7);
+        for id in 8..200 {
+            s.remove(id);
+        }
+        s.remove(7);
+        assert_eq!(s.first().unwrap().id, 200);
+        for id in 200..300 {
+            assert_eq!(s.first().unwrap().id, id);
+            s.remove(id);
+        }
+        assert!(s.first().is_none());
+        s.insert(400, t(400));
+        assert_eq!(s.first().unwrap().id, 400);
+        s.clear();
+        assert!(s.first().is_none());
+        s.insert(401, t(401));
+        assert_eq!(s.first().unwrap().id, 401);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Relation store with hash indexes.
 
 use crate::slab::SlabStore;
-use acq_sketch::{FxHashMap, FxHasher};
+use acq_sketch::FxHashMap;
 use acq_stream::{ColId, RelId, StoredTuple, TupleData, TupleId, TupleRef, Value};
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Dead [`TupleRef`]s kept for recycling (see [`Relation::insert`]). The pool
@@ -165,19 +164,16 @@ impl HashIndex {
 ///
 /// Tuples live in a [`SlabStore`]: ids are minted monotonically and windows
 /// expire in near-insertion order, so `TupleId → TupleRef` is arithmetic
-/// indexing, not a hash lookup. Deleted tuples' `Arc` allocations are pooled
-/// and recycled on the next insert, making the steady-state insert/delete
-/// cycle allocation-free (see DESIGN.md, "Hot-path memory layout").
+/// indexing, not a hash lookup. A delete removes the oldest live instance
+/// with equal data, which a window delete finds at the slab's front in O(1).
+/// Deleted tuples' `Arc` allocations are pooled and recycled on the next
+/// insert, making the steady-state insert/delete cycle allocation-free (see
+/// DESIGN.md, "Hot-path memory layout").
 #[derive(Debug)]
 pub struct Relation {
     rel: RelId,
     arity: usize,
     tuples: SlabStore,
-    /// Data hash → ids with that data (multiset delete support). Keying on
-    /// the 64-bit hash instead of an owned [`TupleData`] keeps inserts from
-    /// cloning the data a second time; the (vanishingly rare) collisions are
-    /// disambiguated by comparing the stored tuples on delete.
-    by_data: FxHashMap<u64, IdList>,
     /// `indexes[col]` is `Some` when a hash index exists on that column.
     indexes: Vec<Option<HashIndex>>,
     next_id: TupleId,
@@ -188,12 +184,6 @@ pub struct Relation {
     data_bytes: usize,
 }
 
-fn data_hash(data: &TupleData) -> u64 {
-    let mut h = FxHasher::default();
-    data.hash(&mut h);
-    h.finish()
-}
-
 impl Relation {
     /// An empty relation with `arity` columns and *no* indexes.
     pub fn new(rel: RelId, arity: usize) -> Relation {
@@ -201,7 +191,6 @@ impl Relation {
             rel,
             arity,
             tuples: SlabStore::new(),
-            by_data: FxHashMap::default(),
             indexes: (0..arity).map(|_| None).collect(),
             next_id: 0,
             ref_pool: VecDeque::new(),
@@ -297,38 +286,16 @@ impl Relation {
                 idx.insert(t.data.get(c as u16), id);
             }
         }
-        match self.by_data.get_mut(&data_hash(data)) {
-            Some(ids) => ids.push(id),
-            None => {
-                let mut ids = IdList::default();
-                ids.push(id);
-                self.by_data.insert(data_hash(data), ids);
-            }
-        }
         self.tuples.insert(id, t.clone());
         t
     }
 
     /// Delete one tuple whose data equals `data` (multiset semantics: exactly
-    /// one instance is removed — the most recently inserted one). Returns the
-    /// removed reference, or `None` if no instance matches.
+    /// one instance is removed — the oldest, as a sliding window expires it).
+    /// Returns the removed reference, or `None` if no instance matches.
     pub fn delete(&mut self, data: &TupleData) -> Option<TupleRef> {
-        let hash = data_hash(data);
-        let ids = self.by_data.get_mut(&hash)?;
-        // The posting is keyed by hash: skip (rare) colliding entries by
-        // checking the stored data, picking the most recently inserted match.
-        let id = *ids
-            .as_slice()
-            .iter()
-            .filter(|&&id| {
-                self.tuples.get(id).expect("by_data/tuples in sync").data == *data
-            })
-            .max()?;
-        ids.swap_remove_id(id);
-        if ids.is_empty() {
-            self.by_data.remove(&hash);
-        }
-        let t = self.tuples.remove(id).expect("by_data/tuples in sync");
+        let id = self.oldest_equal(data)?;
+        let t = self.tuples.remove(id).expect("located id is live");
         self.data_bytes -= t.data.memory_bytes();
         for (c, slot) in self.indexes.iter_mut().enumerate() {
             if let Some(idx) = slot {
@@ -339,6 +306,31 @@ impl Relation {
             self.ref_pool.push_back(t.clone());
         }
         Some(t)
+    }
+
+    /// Id of the oldest live tuple equal to `data`. A window delete expires
+    /// the front tuple, answered in O(1); otherwise the smallest matching id
+    /// in the first index's posting for `data`, or, with no index, the first
+    /// match of a scan in id order.
+    fn oldest_equal(&self, data: &TupleData) -> Option<TupleId> {
+        let front = self.tuples.first()?;
+        if front.data == *data {
+            return Some(front.id);
+        }
+        let Some((c, idx)) = self
+            .indexes
+            .iter()
+            .enumerate()
+            .find_map(|(c, idx)| Some((c, idx.as_ref()?)))
+        else {
+            return self.tuples.iter().find(|t| t.data == *data).map(|t| t.id);
+        };
+        // `get` rather than indexing: data of the wrong arity matches nothing.
+        idx.probe(data.0.get(c)?)
+            .iter()
+            .copied()
+            .filter(|&id| self.tuples.get(id).expect("index/tuples in sync").data == *data)
+            .min()
     }
 
     /// Look up a stored tuple by id — O(1) slab indexing.
@@ -384,7 +376,6 @@ impl Relation {
     /// Remove everything (window reset).
     pub fn clear(&mut self) {
         self.tuples.clear();
-        self.by_data.clear();
         self.data_bytes = 0;
         for idx in self.indexes.iter_mut().flatten() {
             *idx = HashIndex::default();
@@ -432,6 +423,32 @@ mod tests {
         assert!(r.delete(&TupleData::ints(&[5, 1])).is_some());
         assert!(r.delete(&TupleData::ints(&[5, 1])).is_none(), "exhausted");
         assert_eq!(r.len(), 0);
+    }
+
+    #[test]
+    fn delete_removes_the_oldest_equal_instance() {
+        // Indexed: the posting fallback; unindexed: the scan fallback.
+        for indexed in [true, false] {
+            let mut r = if indexed {
+                rel_with_index()
+            } else {
+                Relation::new(RelId(0), 2)
+            };
+            let a = r.insert(&TupleData::ints(&[1, 1]));
+            let b = r.insert(&TupleData::ints(&[2, 2]));
+            let c = r.insert(&TupleData::ints(&[2, 2]));
+            let d = r.insert(&TupleData::ints(&[1, 1]));
+            r.insert(&TupleData::ints(&[2, 3]));
+            // Behind the front: the oldest equal instance.
+            assert_eq!(r.delete(&TupleData::ints(&[2, 2])).unwrap().id, b.id);
+            // At the front.
+            assert_eq!(r.delete(&TupleData::ints(&[1, 1])).unwrap().id, a.id);
+            assert_eq!(r.delete(&TupleData::ints(&[1, 1])).unwrap().id, d.id);
+            assert_eq!(r.delete(&TupleData::ints(&[2, 2])).unwrap().id, c.id);
+            assert!(r.delete(&TupleData::ints(&[2, 2])).is_none());
+            assert!(r.delete(&TupleData::ints(&[2])).is_none(), "wrong arity");
+            assert_eq!(r.len(), 1);
+        }
     }
 
     #[test]

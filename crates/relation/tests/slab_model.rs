@@ -1,6 +1,6 @@
 //! Model test: [`SlabStore`] against a plain `FxHashMap<TupleId, TupleRef>`
 //! reference under interleaved inserts (with id gaps), out-of-order deletes,
-//! window-style expiry, and point probes.
+//! window-style expiry, front removals, and point probes.
 //!
 //! The slab is the hot-path replacement for the map (O(1) arithmetic lookup
 //! instead of a hash probe), so any behavioural divergence — presence, the
@@ -25,6 +25,8 @@ enum Step {
     Expire { keep: u8 },
     /// Probe the k-th live id and a guaranteed-absent id.
     Probe(u8),
+    /// Remove the tuple `first()` reports (a window delete).
+    RemoveFirst,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -33,6 +35,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         2 => (0u8..=255).prop_map(Step::RemoveNth),
         1 => (0u8..16).prop_map(|keep| Step::Expire { keep }),
         2 => (0u8..=255).prop_map(Step::Probe),
+        2 => Just(Step::RemoveFirst),
     ]
 }
 
@@ -99,12 +102,21 @@ proptest! {
                     // An id beyond the frontier is never present.
                     prop_assert!(slab.get(next_id + 1).is_none());
                 }
+                Step::RemoveFirst => {
+                    let Some(id) = slab.first().map(|t| t.id) else {
+                        continue;
+                    };
+                    prop_assert_eq!(slab.remove(id).map(|t| t.id), Some(id));
+                    prop_assert!(model.remove(&id).is_some());
+                }
             }
 
             // Global invariants after every step.
             prop_assert_eq!(slab.len(), model.len());
             let slab_ids: Vec<TupleId> = slab.iter().map(|t| t.id).collect();
-            prop_assert_eq!(slab_ids, live_ids(&model));
+            let model_ids = live_ids(&model);
+            prop_assert_eq!(slab.first().map(|t| t.id), model_ids.first().copied());
+            prop_assert_eq!(slab_ids, model_ids);
         }
     }
 }

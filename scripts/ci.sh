@@ -36,12 +36,15 @@ run scripts/bench.sh --smoke || fail=1
 # Benchmark correctness gate (tier 2): a short run of every perfbench
 # workload checks each batch's deltas against the caching-off engine and
 # the oracle, so a walk that corrupts deltas fails here and not only in a
-# benchmark run. The gate itself must catch a planted tap-delete bug
-# (exit 1); that build goes to its own target directory so it never mixes
-# with the measured one.
+# benchmark run. Each workload runs on the default seed and on the held-out
+# seed 20050405, a second stream through the duplicate-heavy delete paths.
+# The gate itself must catch a planted tap-delete bug (exit 1); that build
+# goes to its own target directory so it never mixes with the measured one.
 for w in chain3 burst-shift star4; do
-  run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload "$w" --seconds 1 --trace 0 || fail=1
+  for seed in 1 20050405; do
+    run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$w" --seconds 1 --seed "$seed" --trace 0 || fail=1
+  done
 done
 echo "==> perfbench chain3 with a planted tap-delete bug must exit 1"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
