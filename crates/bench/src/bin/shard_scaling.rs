@@ -87,12 +87,13 @@ fn check_bit_identical(q: &QuerySchema, updates: &[Update], shards: usize) {
     let mut hp = std::collections::hash_map::DefaultHasher::new();
     let mut count_s = 0u64;
     let mut count_p = 0u64;
+    for u in updates {
+        let mut group = single.process(u);
+        canonicalize_group(&mut group, n);
+        count_s += group.len() as u64;
+        fold_group(&mut hs, &group, n);
+    }
     for chunk in updates.chunks(CHUNK) {
-        for mut group in single.process_batch_grouped(chunk) {
-            canonicalize_group(&mut group, n);
-            count_s += group.len() as u64;
-            fold_group(&mut hs, &group, n);
-        }
         for group in sharded.process_batch_grouped(chunk) {
             count_p += group.len() as u64;
             fold_group(&mut hp, &group, n);
@@ -130,8 +131,11 @@ fn run_single(q: &QuerySchema, updates: &[Update]) -> Measured {
     let mut e = AdaptiveJoinEngine::with_config(q.clone(), PlanOrders::identity(q), config());
     let t0 = Instant::now();
     let mut emitted = 0usize;
-    for chunk in updates.chunks(CHUNK) {
-        emitted += e.process_batch(chunk).len();
+    let mut out = Vec::new();
+    for u in updates {
+        e.process_into(u, &mut out);
+        emitted += out.len();
+        out.clear();
     }
     let wall = t0.elapsed().as_secs_f64();
     std::hint::black_box(emitted);

@@ -129,110 +129,9 @@ pub fn write_snapshot(
     }
 }
 
-// ---------------------------------------------------------------------
-// Labeled bench-JSON files (BENCH_hotpath.json / BENCH_shard.json). No
-// JSON dep: the format is our own, so balanced-brace extraction of the
-// other labels' sections is safe.
-
-/// Extract the `"label": { ... }` object text for every top-level label in
-/// a previously written bench-JSON file.
-pub fn existing_sections(text: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    // Skip the outermost '{'.
-    let Some(start) = text.find('{') else {
-        return out;
-    };
-    let mut i = start + 1;
-    while i < bytes.len() {
-        // Find the next quoted label at depth 1.
-        let Some(q0) = text[i..].find('"').map(|p| i + p) else {
-            break;
-        };
-        let Some(q1) = text[q0 + 1..].find('"').map(|p| q0 + 1 + p) else {
-            break;
-        };
-        let label = text[q0 + 1..q1].to_string();
-        let Some(o) = text[q1..].find('{').map(|p| q1 + p) else {
-            break;
-        };
-        let mut depth = 0usize;
-        let mut end = None;
-        for (k, &c) in bytes.iter().enumerate().skip(o) {
-            match c {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = Some(k);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(end) = end else { break };
-        out.push((label, text[o..=end].to_string()));
-        i = end + 1;
-    }
-    out
-}
-
-/// Pull a numeric field out of one scenario object inside a section.
-pub fn field_of(section: &str, scenario: &str, field: &str) -> Option<f64> {
-    let s0 = section.find(&format!("\"{scenario}\""))?;
-    let rest = &section[s0..];
-    let f0 = rest.find(&format!("\"{field}\""))?;
-    let after = &rest[f0..];
-    let colon = after.find(':')?;
-    let tail = after[colon + 1..].trim_start();
-    let end = tail
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Merge one label's section body into a bench-JSON file, preserving every
-/// other label, and return the file's resulting sections. Write failures
-/// are reported, not fatal (console output is the primary artifact).
-pub fn merge_label_section(path: &str, label: &str, body: String) -> Vec<(String, String)> {
-    let mut sections: Vec<(String, String)> = std::fs::read_to_string(path)
-        .map(|t| existing_sections(&t))
-        .unwrap_or_default();
-    match sections.iter_mut().find(|(l, _)| l == label) {
-        Some((_, s)) => *s = body,
-        None => sections.push((label.to_string(), body)),
-    }
-    let mut out = String::from("{\n");
-    for (i, (l, s)) in sections.iter().enumerate() {
-        out.push_str(&format!("  \"{l}\": {s}"));
-        out.push_str(if i + 1 < sections.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("}\n");
-    if let Err(e) = std::fs::write(path, &out) {
-        eprintln!("warning: cannot write {path}: {e}");
-    } else {
-        println!("wrote {path} (section \"{label}\")");
-    }
-    sections
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sections_roundtrip_and_field_lookup() {
-        let text = "{\n  \"baseline\": {\n    \"a/b\": { \"ns_per_update\": 12.5 }\n  },\n  \
-                    \"current\": {\n    \"a/b\": { \"ns_per_update\": 7.0 }\n  }\n}\n";
-        let sections = existing_sections(text);
-        assert_eq!(sections.len(), 2);
-        assert_eq!(sections[0].0, "baseline");
-        assert_eq!(field_of(&sections[0].1, "a/b", "ns_per_update"), Some(12.5));
-        assert_eq!(field_of(&sections[1].1, "a/b", "ns_per_update"), Some(7.0));
-        assert_eq!(field_of(&sections[1].1, "a/b", "missing"), None);
-        assert_eq!(field_of(&sections[1].1, "zzz", "ns_per_update"), None);
-    }
 
     #[test]
     fn render_and_csv() {

@@ -232,38 +232,8 @@ pub struct EngineCounters {
     pub reorderings: u64,
 }
 
-/// One entry of the adaptivity event log — what the Re-optimizer did and
-/// when (virtual time). Useful for operators debugging plan churn and for
-/// the adaptivity experiments' narratives.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdaptivityEvent {
-    /// The offline selection ran; these caches are now used.
-    Selected {
-        /// Virtual time (ns).
-        at_ns: u64,
-        /// Names of the used caches after the selection.
-        caches: Vec<String>,
-    },
-    /// A used cache was demoted by the §4.5a monitor (net benefit < 0).
-    Demoted {
-        /// Virtual time (ns).
-        at_ns: u64,
-        /// Name of the demoted cache.
-        cache: String,
-    },
-    /// Pipeline orders changed (A-Greedy violation); caches were flushed.
-    Reordered {
-        /// Virtual time (ns).
-        at_ns: u64,
-    },
-}
-
-/// Maximum retained adaptivity events (oldest dropped beyond this).
-const MAX_EVENTS: usize = 512;
-
-/// Typed per-candidate diagnostics, replacing the old stringly
-/// [`AdaptiveJoinEngine::diagnostics`] output. One entry per enumerated
-/// candidate cache, in enumeration order.
+/// Typed per-candidate diagnostics. One entry per enumerated candidate
+/// cache, in enumeration order.
 #[derive(Debug, Clone)]
 pub struct CandidateDiagnostics {
     /// Candidate name, e.g. `C[∆R2: R0⋈R1 @0..1]`.
@@ -329,8 +299,6 @@ pub struct AdaptiveJoinEngine {
     fruitless_streak: u32,
     /// Pipeline-walk buffers reused across updates.
     scratch: Scratch,
-    /// Bounded adaptivity event log.
-    events: std::collections::VecDeque<AdaptivityEvent>,
     /// Per-pipeline operator metrics (telemetry; reset when orders change).
     op_metrics: Vec<PipelineMetrics>,
     /// Store statistics accumulated across stat epochs and store drops, one
@@ -405,7 +373,6 @@ impl AdaptiveJoinEngine {
             orderer: GreedyOrderer::default(),
             fruitless_streak: 0,
             scratch: Scratch::default(),
-            events: std::collections::VecDeque::new(),
             op_metrics: num_ops.iter().map(|&k| PipelineMetrics::new(k)).collect(),
             group_stats: Vec::new(),
             granted_bytes: Vec::new(),
@@ -720,9 +687,9 @@ impl AdaptiveJoinEngine {
         self.profiler.record_update(u.rel);
         self.online.record_update(u.rel);
 
-        // Globally-consistent invalidation must see the delete *before*
-        // store application is irrelevant (we invalidate by tuple identity
-        // after removal — we need the removed tuple's id, so apply first).
+        // Apply to the store first: deltas and cache maintenance carry the
+        // stored tuple's identity, which the store assigns on insert and,
+        // on delete, picks as it removes (the oldest equal instance).
         let Some(tref) = self.core.apply_update(u) else {
             // Only a delete of data with no live instance lands here.
             self.absent_deletes[u.rel.0 as usize] += 1;
@@ -767,26 +734,6 @@ impl AdaptiveJoinEngine {
         self.counters.outputs_emitted += produced as u64;
         self.out_hist.record(produced as u64);
         self.maybe_housekeeping();
-    }
-
-    /// Process a batch of updates in order, returning the concatenated
-    /// result deltas. Semantically identical to calling
-    /// [`AdaptiveJoinEngine::process`] per update; batching amortizes the
-    /// caller's dispatch and lets downstream consumers (e.g. the sharded
-    /// executor) hand over work wholesale.
-    pub fn process_batch(&mut self, updates: &[Update]) -> Vec<(Op, Composite)> {
-        let mut out = Vec::new();
-        for u in updates {
-            self.process_into(u, &mut out);
-        }
-        out
-    }
-
-    /// Like [`AdaptiveJoinEngine::process_batch`] but keeps per-update
-    /// grouping: `result[i]` is the delta list of `updates[i]`. The sharded
-    /// executor's deterministic merge needs the per-update boundaries.
-    pub fn process_batch_grouped(&mut self, updates: &[Update]) -> Vec<Vec<(Op, Composite)>> {
-        updates.iter().map(|u| self.process(u)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -856,16 +803,11 @@ impl AdaptiveJoinEngine {
                     if bc.net() < 0.0 {
                         self.cands[ci].state = CacheState::Unused;
                         self.counters.demotions += 1;
-                        let name = self.cands[ci].cand.name();
                         self.tlog.push(
-                            Event::new(now, "cache.dropped", &name)
+                            Event::new(now, "cache.dropped", self.cands[ci].cand.name())
                                 .field("reason", "demoted")
                                 .field("net", bc.net()),
                         );
-                        self.log_event(AdaptivityEvent::Demoted {
-                            at_ns: now,
-                            cache: name,
-                        });
                         any_demoted = true;
                     }
                 }
@@ -943,7 +885,6 @@ impl AdaptiveJoinEngine {
                 self.set_orders(fresh);
                 self.counters.reorderings += 1;
                 self.tlog.push(Event::new(now, "plan.reordered", ""));
-                self.log_event(AdaptivityEvent::Reordered { at_ns: now });
                 return; // fresh candidates need profiling before selection
             }
         }
@@ -1026,22 +967,23 @@ impl AdaptiveJoinEngine {
             choices,
             group_cost,
         };
-        let solver = match self.config.selection {
-            SelectionStrategy::Auto => {
-                select::auto_solver_name(&instance, self.config.exhaustive_limit)
+        let (solver, sol) = match self.config.selection {
+            SelectionStrategy::Auto => (
+                select::auto_solver_name(&instance, self.config.exhaustive_limit),
+                select::solve_auto(&instance, self.config.exhaustive_limit),
+            ),
+            SelectionStrategy::Exhaustive => (
+                select::exhaustive::NAME,
+                select::solve_exhaustive(&instance),
+            ),
+            SelectionStrategy::Greedy => (select::greedy::NAME, select::solve_greedy(&instance)),
+            SelectionStrategy::Recursive => {
+                (select::recursive::NAME, select::solve_recursive(&instance))
             }
-            SelectionStrategy::Exhaustive => select::exhaustive::NAME,
-            SelectionStrategy::Greedy => select::greedy::NAME,
-            SelectionStrategy::Recursive => select::recursive::NAME,
-            SelectionStrategy::Randomized(_) => select::randomized::NAME,
-            SelectionStrategy::Incremental => select::incremental::NAME,
-        };
-        let sol = match self.config.selection {
-            SelectionStrategy::Auto => select::solve_auto(&instance, self.config.exhaustive_limit),
-            SelectionStrategy::Exhaustive => select::solve_exhaustive(&instance),
-            SelectionStrategy::Greedy => select::solve_greedy(&instance),
-            SelectionStrategy::Recursive => select::solve_recursive(&instance),
-            SelectionStrategy::Randomized(seed) => select::solve_randomized(&instance, seed),
+            SelectionStrategy::Randomized(seed) => (
+                select::randomized::NAME,
+                select::solve_randomized(&instance, seed),
+            ),
             SelectionStrategy::Incremental => {
                 // Map the currently used candidates to instance choice
                 // positions as the warm start.
@@ -1052,7 +994,10 @@ impl AdaptiveJoinEngine {
                     .filter(|(_, ch)| self.cands[ch.id].state == CacheState::Used)
                     .map(|(pos, _)| pos)
                     .collect();
-                select::solve_incremental(&instance, &warm)
+                (
+                    select::incremental::NAME,
+                    select::solve_incremental(&instance, &warm),
+                )
             }
         };
         self.tlog.push(
@@ -1124,9 +1069,6 @@ impl AdaptiveJoinEngine {
         }
 
         self.apply_selection(&chosen);
-        let caches = self.used_caches();
-        let at_ns = self.core.now_ns();
-        self.log_event(AdaptivityEvent::Selected { at_ns, caches });
     }
 
     /// Transition states per the selection, allocate memory, create stores.
@@ -1281,23 +1223,6 @@ impl AdaptiveJoinEngine {
         self.apply_forced_mode();
     }
 
-    fn log_event(&mut self, ev: AdaptivityEvent) {
-        if self.events.len() == MAX_EVENTS {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-    }
-
-    /// The adaptivity event log (most recent last; bounded to 512 entries).
-    pub fn events(&self) -> impl Iterator<Item = &AdaptivityEvent> {
-        self.events.iter()
-    }
-
-    /// Drain and return the event log.
-    pub fn drain_events(&mut self) -> Vec<AdaptivityEvent> {
-        self.events.drain(..).collect()
-    }
-
     /// Per-candidate diagnostics: state, key statistics, and the current
     /// benefit/cost estimate. Observability API for operators, experiments,
     /// and debugging — not on the hot path.
@@ -1319,20 +1244,6 @@ impl AdaptiveJoinEngine {
                     hits: cr.hits,
                     misses: cr.misses,
                 }
-            })
-            .collect()
-    }
-
-    /// Stringly-typed diagnostics, kept so existing callers compile.
-    #[deprecated(note = "use candidate_diagnostics() for typed data")]
-    pub fn diagnostics(&self) -> Vec<String> {
-        self.candidate_diagnostics()
-            .iter()
-            .map(|d| {
-                format!(
-                    "{} state={:?} warm={} miss={:?} d_in={:.1} seg_proc={:.0} bc={:?}",
-                    d.name, d.state, d.warm, d.miss_prob, d.d_in, d.seg_proc, d.benefit_cost
-                )
             })
             .collect()
     }

@@ -166,11 +166,6 @@ struct DirEntry {
     live: u32,
 }
 
-enum Route {
-    Shard(usize),
-    Broadcast,
-}
-
 /// Load-balancing router: per-relation broadcast table plus the
 /// value→shard directory.
 #[derive(Debug)]
@@ -192,6 +187,8 @@ struct Router {
     /// re-anchors once this reaches [`REFRESH_EVERY`] (reading every shard
     /// clock per tiny batch would dominate the inline path).
     routed_since_refresh: u64,
+    /// Routed/broadcast counts of every update routed so far.
+    stats: RoutingStats,
 }
 
 /// Re-anchor router load estimates on the true shard clocks at the first
@@ -212,6 +209,7 @@ impl Router {
             est_unit: 1,
             routed_seen: 0,
             routed_since_refresh: REFRESH_EVERY,
+            stats: RoutingStats::default(),
         }
     }
 
@@ -245,13 +243,16 @@ impl Router {
             .expect("at least one shard")
     }
 
-    fn route(&mut self, u: &Update) -> Route {
+    /// Pick the shard(s) for `u` and count it in [`Router::stats`].
+    fn route(&mut self, u: &Update) -> Dispatch {
         let Some(col) = self.part_col[u.rel.0 as usize] else {
-            return Route::Broadcast;
+            self.stats.broadcast += 1;
+            return Dispatch::All;
         };
+        self.stats.routed += 1;
         if self.num_shards == 1 {
             self.routed_seen += 1;
-            return Route::Shard(0);
+            return Dispatch::Shard(0);
         }
         let key = partition_key(u, col);
         let shard = match u.op {
@@ -289,7 +290,7 @@ impl Router {
         self.load[shard] += self.est_unit;
         self.routed_seen += 1;
         self.routed_since_refresh += 1;
-        Route::Shard(shard)
+        Dispatch::Shard(shard)
     }
 }
 
@@ -331,7 +332,6 @@ pub struct ShardedEngine {
     runtime: ShardRuntime,
     router: Router,
     partition_class: EquivClassId,
-    routing: RoutingStats,
 }
 
 impl ShardedEngine {
@@ -377,7 +377,6 @@ impl ShardedEngine {
             runtime: ShardRuntime::new(engines),
             router,
             partition_class,
-            routing: RoutingStats::default(),
         }
     }
 
@@ -407,7 +406,7 @@ impl ShardedEngine {
 
     /// Routing counters.
     pub fn routing_stats(&self) -> RoutingStats {
-        self.routing
+        self.router.stats
     }
 
     /// Run `f` against shard `i`'s engine. Engines live behind the worker
@@ -498,8 +497,8 @@ impl ShardedEngine {
             },
         );
         merged.gauge("merge.lag", &[], self.runtime.merge_lag());
-        merged.counter("routing.routed", &[], self.routing.routed);
-        merged.counter("routing.broadcast", &[], self.routing.broadcast);
+        merged.counter("routing.routed", &[], self.router.stats.routed);
+        merged.counter("routing.broadcast", &[], self.router.stats.broadcast);
         merged
     }
 
@@ -518,10 +517,10 @@ impl ShardedEngine {
         for i in self.runtime.poisoned_shards() {
             violations.push(format!("shard {i}: worker poisoned by panic"));
         }
-        if self.broadcast_relations().is_empty() && self.routing.broadcast > 0 {
+        if self.broadcast_relations().is_empty() && self.router.stats.broadcast > 0 {
             violations.push(format!(
                 "routing: {} broadcasts but every relation has a partition column",
-                self.routing.broadcast
+                self.router.stats.broadcast
             ));
         }
         violations
@@ -531,10 +530,9 @@ impl ShardedEngine {
     // Processing
 
     /// Process one update. Equivalent to a one-element
-    /// [`ShardedEngine::process_batch`]. Panics if a shard is poisoned —
-    /// use [`ShardedEngine::try_process`] for typed failure handling.
+    /// [`ShardedEngine::process_batch`]; panics if a shard is poisoned.
     pub fn process(&mut self, u: &Update) -> Vec<(Op, Composite)> {
-        self.try_process(u).unwrap_or_else(|e| panic!("{e}"))
+        self.process_batch(std::slice::from_ref(u))
     }
 
     /// Process a batch of updates (in the given order), returning the
@@ -556,135 +554,98 @@ impl ShardedEngine {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`ShardedEngine::process`]: a poisoned shard yields a
-    /// [`ShardPanic`] instead of a panic.
-    pub fn try_process(&mut self, u: &Update) -> Result<Vec<(Op, Composite)>, ShardPanic> {
-        Ok(self
-            .try_process_batch_grouped(std::slice::from_ref(u))?
-            .pop()
-            .unwrap_or_default())
-    }
-
     /// Fallible [`ShardedEngine::process_batch`]: a poisoned shard yields a
     /// [`ShardPanic`] instead of a panic.
     pub fn try_process_batch(
         &mut self,
         updates: &[Update],
     ) -> Result<Vec<(Op, Composite)>, ShardPanic> {
-        if self.runtime.is_threaded() && updates.len() >= INLINE_BATCH {
-            let mut out = Vec::new();
-            for group in self.try_process_batch_grouped(updates)? {
-                out.extend(group);
-            }
-            return Ok(out);
-        }
-        // Flat inline path: same routing and per-update canonical order as
-        // the grouped driver, but every delta lands in one output vector
-        // and each update's span is canonicalized in place — no per-update
-        // group vectors.
-        if updates.is_empty() {
-            return Ok(Vec::new());
-        }
-        if let Some(failure) = self.runtime.first_failure() {
-            return Err(failure);
-        }
-        let n_shards = self.num_shards();
-        if n_shards > 1 && self.router.needs_refresh() {
-            let router = &mut self.router;
-            let runtime = &self.runtime;
-            router.refresh_load((0..n_shards).map(|i| runtime.engine(i).core().now_ns()));
-        }
-        let n_rels = self.query.num_relations();
-        let mut out: Vec<(Op, Composite)> = Vec::new();
-        let mut start = 0;
-        // Lock every shard engine once for the whole batch — the workers
-        // only touch engines through jobs, and the inline path sends none.
-        let mut engines: Vec<_> = (0..n_shards).map(|i| self.runtime.engine(i)).collect();
-        for u in updates {
-            match self.router.route(u) {
-                Route::Shard(s) => {
-                    self.routing.routed += 1;
-                    engines[s].process_into(u, &mut out);
-                }
-                Route::Broadcast => {
-                    self.routing.broadcast += 1;
-                    for e in engines.iter_mut() {
-                        e.process_into(u, &mut out);
-                    }
-                }
-            }
-            canonicalize_group(&mut out[start..], n_rels);
-            start = out.len();
-        }
+        let mut out = Vec::new();
+        self.drive(updates, &mut out, |_| {})?;
         Ok(out)
     }
 
-    /// Fallible [`ShardedEngine::process_batch_grouped`]: the core batch
-    /// driver. Routes the batch (updating the balancing directory), then
-    /// either runs it inline (small batches / single shard) or streams it
-    /// through the persistent worker runtime. On `Err` the failing shard
-    /// is poisoned permanently; healthy shards remain drained and
-    /// inspectable, but further processing is refused because the poisoned
-    /// shard's substream state is lost.
+    /// Fallible [`ShardedEngine::process_batch_grouped`]: a poisoned shard
+    /// yields a [`ShardPanic`] instead of a panic.
     pub fn try_process_batch_grouped(
         &mut self,
         updates: &[Update],
     ) -> Result<Vec<Vec<(Op, Composite)>>, ShardPanic> {
+        let mut flat = Vec::new();
+        let mut ends = Vec::with_capacity(updates.len());
+        self.drive(updates, &mut flat, |end| ends.push(end))?;
+        let mut deltas = flat.into_iter();
+        let mut start = 0;
+        Ok(ends
+            .into_iter()
+            .map(|end| {
+                let group = deltas.by_ref().take(end - start).collect();
+                start = end;
+                group
+            })
+            .collect())
+    }
+
+    /// The batch driver. Routes the batch (updating the balancing
+    /// directory), then either runs it inline (small batches / single
+    /// shard) or streams it through the persistent worker runtime. Each
+    /// update's delta group is appended to `out` in canonical row order,
+    /// in update order, and `group_end` is called with `out.len()` after
+    /// each group. On `Err` the failing shard is poisoned permanently;
+    /// healthy shards remain drained and inspectable, but further
+    /// processing is refused because the poisoned shard's substream state
+    /// is lost.
+    fn drive(
+        &mut self,
+        updates: &[Update],
+        out: &mut Vec<(Op, Composite)>,
+        mut group_end: impl FnMut(usize),
+    ) -> Result<(), ShardPanic> {
         if updates.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         if let Some(failure) = self.runtime.first_failure() {
             return Err(failure);
         }
         let n_shards = self.num_shards();
-        if n_shards > 1 && self.router.needs_refresh() {
-            let router = &mut self.router;
-            let runtime = &self.runtime;
+        let runtime = &mut self.runtime;
+        let router = &mut self.router;
+        if n_shards > 1 && router.needs_refresh() {
             router.refresh_load((0..n_shards).map(|i| runtime.engine(i).core().now_ns()));
         }
-        let mut out: Vec<Vec<(Op, Composite)>> = vec![Vec::new(); updates.len()];
-        if !self.runtime.is_threaded() || updates.len() < INLINE_BATCH {
-            // Inline path: route and process in arrival order on the
-            // caller thread, holding every shard lock for the batch (the
-            // workers only touch engines through jobs; none are sent).
-            let mut engines: Vec<_> = (0..n_shards).map(|i| self.runtime.engine(i)).collect();
-            for (gi, u) in updates.iter().enumerate() {
-                match self.router.route(u) {
-                    Route::Shard(s) => {
-                        self.routing.routed += 1;
-                        engines[s].process_into(u, &mut out[gi]);
-                    }
-                    Route::Broadcast => {
-                        self.routing.broadcast += 1;
+        let n_rels = self.query.num_relations();
+        let mut close_group = |out: &mut Vec<(Op, Composite)>, start: usize| {
+            canonicalize_group(&mut out[start..], n_rels);
+            group_end(out.len());
+        };
+        let mut route = |u: &Update| router.route(u);
+        if runtime.is_threaded() && updates.len() >= INLINE_BATCH {
+            let mut groups = vec![Vec::new(); updates.len()];
+            runtime.run_batch(updates, route, &mut groups)?;
+            for mut group in groups {
+                let start = out.len();
+                out.append(&mut group);
+                close_group(out, start);
+            }
+        } else {
+            // Inline path: process in arrival order on the caller thread,
+            // holding every shard lock for the batch (the workers only
+            // touch engines through jobs; none are sent).
+            let mut engines: Vec<_> = (0..n_shards).map(|i| runtime.engine(i)).collect();
+            for u in updates {
+                let start = out.len();
+                match route(u) {
+                    Dispatch::Shard(s) => engines[s].process_into(u, out),
+                    Dispatch::All => {
                         for e in engines.iter_mut() {
-                            e.process_into(u, &mut out[gi]);
+                            e.process_into(u, out);
                         }
                     }
                 }
+                close_group(out, start);
             }
-        } else {
-            let router = &mut self.router;
-            let routing = &mut self.routing;
-            self.runtime.run_batch(
-                updates,
-                |u| match router.route(u) {
-                    Route::Shard(s) => {
-                        routing.routed += 1;
-                        Dispatch::Shard(s)
-                    }
-                    Route::Broadcast => {
-                        routing.broadcast += 1;
-                        Dispatch::All
-                    }
-                },
-                &mut out,
-            )?;
         }
-        let n_rels = self.query.num_relations();
-        for group in &mut out {
-            canonicalize_group(group, n_rels);
-        }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -716,11 +677,11 @@ pub mod reference {
     }
 
     impl StatelessRouter {
-        fn route(&self, u: &Update) -> Route {
+        fn route(&self, u: &Update) -> Dispatch {
             let Some(col) = self.part_col[u.rel.0 as usize] else {
-                return Route::Broadcast;
+                return Dispatch::All;
             };
-            Route::Shard((partition_key(u, col) % self.num_shards as u64) as usize)
+            Dispatch::Shard((partition_key(u, col) % self.num_shards as u64) as usize)
         }
     }
 
@@ -805,8 +766,8 @@ pub mod reference {
             let mut work: Vec<Vec<(usize, &Update)>> = vec![Vec::new(); n_shards];
             for (gi, u) in updates.iter().enumerate() {
                 match self.router.route(u) {
-                    Route::Shard(s) => work[s].push((gi, u)),
-                    Route::Broadcast => {
+                    Dispatch::Shard(s) => work[s].push((gi, u)),
+                    Dispatch::All => {
                         for w in &mut work {
                             w.push((gi, u));
                         }
@@ -1111,7 +1072,9 @@ mod tests {
             .check_invariants()
             .iter()
             .any(|v| v.contains("worker poisoned")));
-        let err2 = e.try_process(&updates[0]).expect_err("still poisoned");
+        let err2 = e
+            .try_process_batch(&updates[..1])
+            .expect_err("still poisoned");
         assert_eq!(err2.shard, 1);
     }
 

@@ -647,7 +647,6 @@ fn fruitless_reopt_damping_reduces_offline_runs() {
 
 #[test]
 fn adaptivity_event_log_records_selections_and_demotions() {
-    use acq::AdaptivityEvent;
     let q = QuerySchema::chain3();
     let mut config = test_config();
     config.reopt_interval = ReoptInterval::Tuples(100);
@@ -655,21 +654,12 @@ fn adaptivity_event_log_records_selections_and_demotions() {
     for u in &chain3_workload(1500, 202) {
         engine.process(u);
     }
-    let events: Vec<AdaptivityEvent> = engine.drain_events();
-    assert!(!events.is_empty(), "re-optimizations should be logged");
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, AdaptivityEvent::Selected { .. })));
+    let snap = engine.telemetry_snapshot();
+    assert!(
+        snap.events_of_kind("selection.run").next().is_some(),
+        "re-optimizations should be logged"
+    );
     // Timestamps are nondecreasing.
-    let stamps: Vec<u64> = events
-        .iter()
-        .map(|e| match e {
-            AdaptivityEvent::Selected { at_ns, .. } => *at_ns,
-            AdaptivityEvent::Demoted { at_ns, .. } => *at_ns,
-            AdaptivityEvent::Reordered { at_ns } => *at_ns,
-        })
-        .collect();
+    let stamps: Vec<u64> = snap.events().iter().map(|e| e.at_ns).collect();
     assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-    // Drained: the log is now empty.
-    assert_eq!(engine.events().count(), 0);
 }

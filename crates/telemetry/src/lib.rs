@@ -1,19 +1,19 @@
 //! # acq-telemetry — zero-dependency telemetry substrate
 //!
-//! Observability primitives for the A-Caching workspace: live metric
-//! types that components bump on the hot path, a structured event log
-//! stamped with **virtual time** (the engines' deterministic cost clock,
-//! see `acq-mjoin::clock`), and a mergeable [`TelemetrySnapshot`] with
-//! JSON and aligned-text renderers.
+//! Observability primitives for the A-Caching workspace: a log-scale
+//! [`Histogram`] that components record into on the hot path, a
+//! structured event log stamped with **virtual time** (the engines'
+//! deterministic cost clock, see `acq-mjoin::clock`), and a mergeable
+//! [`TelemetrySnapshot`] with JSON and aligned-text renderers.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Zero dependencies.** The workspace builds offline; this crate
 //!    uses only `std`.
-//! 2. **Allocation-light hot path.** [`Counter`], [`Gauge`],
-//!    [`Histogram`], and [`RateWindow`] never allocate after
-//!    construction; building a snapshot (which does allocate) happens
-//!    only when one is requested.
+//! 2. **Allocation-light hot path.** [`Histogram`] never allocates after
+//!    construction, and components keep their counters as plain integers;
+//!    building a snapshot (which does allocate) happens only when one is
+//!    requested.
 //! 3. **Canonical cross-shard merge.** [`TelemetrySnapshot::merge`] is
 //!    associative: counters/gauges/histograms sum, [`MetricValue::Ratio`]
 //!    merges component-wise, and event traces stable-merge by timestamp.
@@ -33,5 +33,5 @@ mod snapshot;
 
 pub use conservation::{check_laws, ConservationLaw, ENGINE_LAWS};
 pub use event::{Event, EventLog, FieldValue};
-pub use metric::{Counter, Gauge, Histogram, RateWindow, HISTOGRAM_BUCKETS};
+pub use metric::{Histogram, HISTOGRAM_BUCKETS};
 pub use snapshot::{Metric, MetricValue, TelemetrySnapshot, MAX_HISTOGRAM_BUCKETS};

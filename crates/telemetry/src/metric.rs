@@ -1,72 +1,10 @@
-//! Live metric primitives: monotonic counters, gauges, log-scale
-//! histograms, and windowed rates.
+//! The live metric primitive: a log-scale histogram.
 //!
-//! These are the *hot-path* types: plain structs of integers/floats with
-//! branch-free (or nearly so) update methods and no allocation after
-//! construction. Components embed them as fields and bump them inline; a
-//! [`crate::TelemetrySnapshot`] is assembled from them on demand, off the
-//! hot path.
-
-/// A monotonic event counter.
-///
-/// Wraps a `u64`; merging across shards sums values. Use for anything that
-/// only grows: tuples processed, cache hits, bytes written.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Counter {
-        Counter(0)
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A last-value gauge.
-///
-/// Wraps an `f64`. The cross-shard merge **sums** gauges, so gauges should
-/// hold *extensive* quantities (memory bytes, live entries, rates that add
-/// across shards). For intensive quantities (probabilities, fractions,
-/// per-tuple costs) emit a [`crate::MetricValue::Ratio`] instead — its
-/// numerator and denominator merge component-wise.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge(0.0)
-    }
-
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        self.0
-    }
-}
+//! [`Histogram`] is a *hot-path* type: a plain array of integers with a
+//! nearly branch-free record method and no allocation after construction.
+//! Components embed it as a field and record inline; a
+//! [`crate::TelemetrySnapshot`] is assembled from it on demand, off the hot
+//! path.
 
 /// Number of histogram buckets: one for zero plus one per power of two up
 /// to `2^63`.
@@ -180,107 +118,9 @@ impl Histogram {
     }
 }
 
-/// A sliding-window rate estimator over **virtual time**.
-///
-/// Time is divided into fixed slots of `slot_ns`; the window covers the
-/// most recent `slots` of them. Recording advances the ring to the slot
-/// containing `now_ns` (zeroing any skipped slots) and adds the amount;
-/// [`RateWindow::rate`] reports events per virtual second over the covered
-/// span. Cost per record is O(1) amortized, no allocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateWindow {
-    slot_ns: u64,
-    slots: Vec<f64>,
-    /// Absolute index (`now_ns / slot_ns`) of the slot currently written.
-    cur: u64,
-    /// Absolute slot index of the first slot ever written (bounds the
-    /// covered span while the window is still filling).
-    first: u64,
-    started: bool,
-}
-
-impl RateWindow {
-    /// A window of `slots` slots of `slot_ns` virtual nanoseconds each.
-    /// Both are clamped to at least 1.
-    pub fn new(slot_ns: u64, slots: usize) -> RateWindow {
-        RateWindow {
-            slot_ns: slot_ns.max(1),
-            slots: vec![0.0; slots.max(1)],
-            cur: 0,
-            first: 0,
-            started: false,
-        }
-    }
-
-    /// Record `amount` events at virtual time `now_ns`.
-    pub fn record(&mut self, now_ns: u64, amount: f64) {
-        self.advance(now_ns);
-        let len = self.slots.len() as u64;
-        self.slots[(self.cur % len) as usize] += amount;
-    }
-
-    fn advance(&mut self, now_ns: u64) {
-        let slot = now_ns / self.slot_ns;
-        if !self.started {
-            self.started = true;
-            self.cur = slot;
-            self.first = slot;
-            return;
-        }
-        if slot <= self.cur {
-            return; // same slot, or virtual time briefly observed out of order
-        }
-        let len = self.slots.len() as u64;
-        let skipped = (slot - self.cur).min(len);
-        for k in 1..=skipped {
-            let idx = ((self.cur + k) % len) as usize;
-            self.slots[idx] = 0.0;
-        }
-        self.cur = slot;
-    }
-
-    /// Total events currently inside the window.
-    pub fn total(&self) -> f64 {
-        self.slots.iter().sum()
-    }
-
-    /// Virtual seconds the window currently covers (grows from one slot up
-    /// to the full window while filling).
-    pub fn covered_secs(&self) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        let len = self.slots.len() as u64;
-        let filled = (self.cur - self.first + 1).min(len);
-        (filled * self.slot_ns) as f64 / 1e9
-    }
-
-    /// Events per virtual second over the covered span (0 before any
-    /// record).
-    pub fn rate(&self) -> f64 {
-        let secs = self.covered_secs();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.total() / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut g = Gauge::new();
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-    }
 
     #[test]
     fn histogram_bucket_boundaries() {
@@ -336,40 +176,5 @@ mod tests {
         assert_eq!(merged.count(), 4);
         assert_eq!(merged.sum(), 1011);
         assert_eq!(merged.buckets()[Histogram::bucket_of(5)], 2);
-    }
-
-    #[test]
-    fn rate_window_fills_and_slides() {
-        // 4 slots × 1s.
-        let mut w = RateWindow::new(1_000_000_000, 4);
-        assert_eq!(w.rate(), 0.0);
-        w.record(0, 10.0);
-        assert!((w.covered_secs() - 1.0).abs() < 1e-12);
-        assert!((w.rate() - 10.0).abs() < 1e-9);
-        w.record(1_500_000_000, 10.0); // second slot
-        assert!((w.rate() - 10.0).abs() < 1e-9, "20 events over 2s");
-        // Jump to slot 5: slots 0..1 fall out of the 4-slot window.
-        w.record(5_200_000_000, 40.0);
-        assert!((w.covered_secs() - 4.0).abs() < 1e-12);
-        assert!((w.rate() - 10.0).abs() < 1e-9, "only the new 40 remain");
-    }
-
-    #[test]
-    fn rate_window_long_gap_zeroes_everything() {
-        let mut w = RateWindow::new(1_000, 8);
-        w.record(0, 100.0);
-        w.record(1_000_000, 1.0); // 1000 slots later
-        assert!((w.total() - 1.0).abs() < 1e-12, "old slots all cleared");
-    }
-
-    #[test]
-    fn rate_window_same_slot_accumulates() {
-        let mut w = RateWindow::new(1_000, 2);
-        w.record(10, 1.0);
-        w.record(900, 2.0);
-        assert!((w.total() - 3.0).abs() < 1e-12);
-        // Out-of-order observation within history is folded into "now".
-        w.record(5, 1.0);
-        assert!((w.total() - 4.0).abs() < 1e-12);
     }
 }

@@ -27,12 +27,6 @@ run cargo run --release --offline -q -p acq-harness -- --seed 1 --cases 6 --chec
 # safety protocol rests on this ring behaving exactly like the model.
 run cargo test -q --offline -p acq --test spsc_ring || fail=1
 
-# Bench smoke (tier 2): the hot-path benchmark — including the sharded
-# runtime scenario group — on a tiny workload, to catch bench-harness rot
-# without paying full measurement time. Smoke numbers record under the
-# "smoke" section, never "current".
-run scripts/bench.sh --smoke || fail=1
-
 # Benchmark correctness gate (tier 2): a short run of every perfbench
 # workload checks each batch's deltas against the caching-off engine and
 # the oracle, so a walk that corrupts deltas fails here and not only in a
@@ -46,6 +40,11 @@ for w in chain3 burst-shift star4; do
       --workload "$w" --seconds 1 --seed "$seed" --trace 0 || fail=1
   done
 done
+# The traced run drives the sharded runtime (1 and 2 shards, chain3's
+# broadcast relation) through `ShardedEngine::try_process_batch` against the
+# ordered reference.
+run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload chain3 --seconds 1 --trace 1 || fail=1
 echo "==> perfbench chain3 with a planted tap-delete bug must exit 1"
 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
   --target-dir perfbench/target/fault-injection --features fault-injection -- \

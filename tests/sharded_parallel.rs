@@ -99,17 +99,26 @@ fn single_engine_groups(query: &QuerySchema, updates: &[Update]) -> Vec<Vec<(Op,
 fn check_sharded(query: &QuerySchema, updates: &[Update], shards: usize) {
     let n = query.num_relations();
     let reference = single_engine_groups(query, updates);
-    let mut sharded = ShardedEngine::with_config(
-        query.clone(),
-        PlanOrders::identity(query),
-        fast_config(),
-        ShardConfig {
-            num_shards: shards,
-            partition_class: None,
-        },
-    );
-    let groups = sharded.process_batch_grouped(updates);
+    let build = || {
+        ShardedEngine::with_config(
+            query.clone(),
+            PlanOrders::identity(query),
+            fast_config(),
+            ShardConfig {
+                num_shards: shards,
+                partition_class: None,
+            },
+        )
+    };
+    let groups = build().process_batch_grouped(updates);
     assert_eq!(groups.len(), updates.len());
+    // The flat entry point must emit exactly the grouped output, concatenated.
+    let flat = canon_group(&build().process_batch(updates), n);
+    let concat: Vec<_> = groups.iter().flat_map(|g| canon_group(g, n)).collect();
+    assert_eq!(
+        flat, concat,
+        "[{shards} shards] flat output diverged from grouped"
+    );
     for (i, (got, want)) in groups.iter().zip(&reference).enumerate() {
         let got = canon_group(got, n);
         // Multiset equality per update: the correctness contract.
@@ -219,26 +228,26 @@ fn mixed_batch_sizes_cross_inline_threshold() {
         num_shards: 4,
         partition_class: None,
     };
-    let mut whole = ShardedEngine::with_config(
-        query.clone(),
-        PlanOrders::identity(&query),
-        fast_config(),
-        shard_cfg.clone(),
-    );
-    let want: Vec<_> = whole
+    let build = || {
+        ShardedEngine::with_config(
+            query.clone(),
+            PlanOrders::identity(&query),
+            fast_config(),
+            shard_cfg.clone(),
+        )
+    };
+    let want: Vec<_> = build()
         .process_batch_grouped(&updates)
         .iter()
         .map(|g| canon_group(g, n))
         .collect();
 
-    let mut chunked = ShardedEngine::with_config(
-        query.clone(),
-        PlanOrders::identity(&query),
-        fast_config(),
-        shard_cfg,
-    );
+    let mut chunked = build();
+    // A twin fed the same chunks through the flat entry point.
+    let mut flat = build();
     let sizes = [1usize, 8, 31, 32, 33, 64, 3, 100];
     let mut got = Vec::new();
+    let mut flat_got = Vec::new();
     let mut rest = &updates[..];
     let mut si = 0;
     while !rest.is_empty() {
@@ -247,9 +256,11 @@ fn mixed_batch_sizes_cross_inline_threshold() {
         for g in chunked.process_batch_grouped(&rest[..k]) {
             got.push(canon_group(&g, n));
         }
+        flat_got.extend(canon_group(&flat.process_batch(&rest[..k]), n));
         rest = &rest[k..];
     }
     assert_eq!(got, want, "mixed chunk sizes diverged from one-batch run");
+    assert_eq!(flat_got, got.concat(), "flat output diverged from grouped");
 }
 
 #[test]
