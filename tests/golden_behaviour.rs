@@ -183,6 +183,33 @@ fn star4_run() -> Observed {
     observe(engine, &updates)
 }
 
+/// Figure 9's nine-way star (multiplicity 1 on the first four streams, 5
+/// on the other five): results are nine parts wide, past a composite's
+/// inline capacity of seven, so intermediate tuples wider than any other
+/// golden's and spilled composites are both pinned.
+fn star9_run() -> Observed {
+    const N: u16 = 9;
+    const WINDOW: usize = 50;
+    let streams = (0..N)
+        .map(|r| {
+            let join_col = ColumnGen::BlockRandom {
+                domain: WINDOW as u64,
+                repeat: if r < N / 2 { 1 } else { 5 },
+                salt: 0xA5A5_0000 + r as u64,
+            };
+            StreamSpec::new(r, 1.0, WINDOW, vec![join_col, ColumnGen::seq()])
+        })
+        .collect();
+    let updates = Workload::new(streams, 0xF196).generate(20_000);
+    let q = QuerySchema::star(N as usize);
+    let engine = AdaptiveJoinEngine::with_config(
+        q.clone(),
+        PlanOrders::identity(&q),
+        EngineConfig::default(),
+    );
+    observe(engine, &updates)
+}
+
 fn plans(names: &[&str]) -> Vec<String> {
     names.iter().map(|s| s.to_string()).collect()
 }
@@ -253,4 +280,98 @@ fn star4_matches_golden() {
         deltas: 82_943,
     };
     assert_eq!(star4_run(), expected);
+}
+
+#[test]
+fn star9_matches_golden() {
+    let expected = Observed {
+        virtual_ns: 5_296_795_350,
+        counters: [39_550, 15_000, 11_923, 1_994, 2, 4, 0, 269_695],
+        ops: vec![
+            [4_396, 4_433, 61_803_000],
+            [4_433, 4_501, 65_913_750],
+            [4_501, 4_930, 73_412_000],
+            [4_930, 6_707, 96_549_750],
+            [6_707, 7_120, 118_149_000],
+            [7_120, 4_825, 101_708_750],
+            [4_825, 8_875, 135_837_500],
+            [8_875, 0, 62_125_000],
+            [4_396, 4_416, 61_684_000],
+            [4_416, 4_504, 65_818_000],
+            [4_504, 4_833, 72_608_500],
+            [4_833, 6_402, 93_049_500],
+            [6_402, 5_168, 96_494_000],
+            [5_168, 1_375, 50_957_250],
+            [1_375, 0, 9_625_000],
+            [0, 0, 0],
+            [2_133, 2_156, 30_023_000],
+            [2_156, 2_026, 30_793_500],
+            [4_421, 4_663, 70_582_500],
+            [4_663, 5_536, 83_849_000],
+            [5_536, 3_410, 72_852_000],
+            [3_410, 2_050, 45_907_500],
+            [2_050, 2_500, 43_100_000],
+            [2_500, 0, 17_500_000],
+            [2_133, 2_146, 29_953_000],
+            [2_146, 2_126, 31_498_500],
+            [3_379, 3_618, 54_406_000],
+            [4_822, 6_374, 92_713_500],
+            [6_374, 3_775, 82_368_000],
+            [3_775, 4_075, 70_231_250],
+            [4_075, 9_000, 132_025_000],
+            [9_000, 0, 63_000_000],
+            [2_971, 3_049, 42_140_000],
+            [3_049, 3_160, 45_833_000],
+            [3_160, 3_260, 49_830_000],
+            [3_260, 3_493, 55_130_250],
+            [5_581, 4_372, 82_787_000],
+            [4_372, 1_900, 51_029_000],
+            [1_900, 2_500, 42_050_000],
+            [2_500, 7_500, 109_375_000],
+            [2_460, 2_459, 34_433_000],
+            [2_459, 2_529, 36_812_750],
+            [2_529, 2_314, 37_372_000],
+            [3_340, 3_057, 51_657_250],
+            [3_894, 4_473, 71_988_000],
+            [4_473, 10_875, 148_217_250],
+            [10_875, 6_750, 153_750_000],
+            [6_750, 0, 47_250_000],
+            [2_532, 2_467, 34_993_000],
+            [2_467, 2_413, 35_969_750],
+            [2_413, 2_474, 37_920_000],
+            [2_474, 2_214, 37_797_500],
+            [2_214, 2_600, 41_498_000],
+            [2_600, 1_300, 32_175_000],
+            [7_100, 1_500, 66_950_000],
+            [1_500, 7_500, 102_375_000],
+            [2_479, 2_429, 34_356_000],
+            [2_429, 2_395, 35_564_250],
+            [2_395, 2_828, 40_803_000],
+            [2_828, 2_746, 45_196_500],
+            [2_746, 5_275, 71_972_000],
+            [5_275, 9_100, 134_750_000],
+            [10_000, 17_125, 266_937_500],
+            [17_125, 0, 119_875_000],
+            [2_133, 2_131, 29_848_000],
+            [2_131, 2_094, 31_145_500],
+            [2_094, 1_573, 28_028_500],
+            [1_573, 1_715, 26_874_750],
+            [1_715, 2_533, 37_335_000],
+            [2_533, 4_850, 69_868_500],
+            [7_250, 0, 50_750_000],
+            [0, 0, 0],
+        ],
+        plans: plans(&[
+            "",
+            "C[∆R2: R0⋈R1 @0..1] C[∆R3: R0⋈R1 @0..1] C[∆R4: R0⋈R1⋈R2⋈R3 @0..3] C[∆R5: R0⋈R1⋈R2⋈R3 @0..3] C[∆R6: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5] C[∆R7: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5] C[∆R8: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5]",
+            "C[∆R2: R0⋈R1 @0..1] C[∆R3: R0⋈R1 @0..1] C[∆R4: R0⋈R1⋈R2⋈R3 @0..3] C[∆R5: R0⋈R1⋈R2⋈R3 @0..3] C[∆R7: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5] C[∆R8: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5]",
+            "C[∆R2: R0⋈R1 @0..1] C[∆R3: R0⋈R1 @0..1] C[∆R4: R0⋈R1⋈R2⋈R3 @0..3] C[∆R5: R0⋈R1⋈R2⋈R3 @0..3] C[∆R8: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5]",
+            "C[∆R2: R0⋈R1 @0..1] C[∆R3: R0⋈R1 @0..1] C[∆R4: R0⋈R1⋈R2⋈R3 @0..3] C[∆R8: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5]",
+            "C[∆R2: R0⋈R1 @0..1] C[∆R3: R0⋈R1⋈R2 @0..2] C[∆R4: R0⋈R1⋈R2⋈R3 @0..3] C[∆R5: R0⋈R1⋈R2 @0..2] C[∆R6: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5] C[∆R7: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5] C[∆R8: R0⋈R1⋈R2⋈R3⋈R4⋈R5⋈R6 @0..6]",
+            "C[∆R2: R0⋈R1 @0..1] C[∆R3: R0⋈R1⋈R2 @0..2] C[∆R5: R0⋈R1⋈R2 @0..2] C[∆R6: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5] C[∆R7: R0⋈R1⋈R2⋈R3⋈R4⋈R5 @0..5] C[∆R8: R0⋈R1⋈R2⋈R3⋈R4⋈R5⋈R6 @0..6]",
+        ]),
+        delta_hash: 2_171_657_565_076_945_541,
+        deltas: 15_000,
+    };
+    assert_eq!(star9_run(), expected);
 }
