@@ -1,13 +1,17 @@
-//! The Executor's pipeline walk (§3.1–§3.2, §6), over borrowed rows.
+//! The Executor's pipeline walk (§3.1–§3.2, §6), over width-sized
+//! frontiers.
 //!
 //! One [`Walk`] processes one update's pipeline: plain operators, cache
 //! lookups with their miss-path segment runs, plain-cache maintenance taps,
 //! Bloom feeds for profiled candidates, and the separate delta computation
-//! of globally-consistent caches. Intermediate tuples are [`Row`]s that
-//! borrow their parts from the relation stores (or the update's own tuple),
-//! so the walk performs no reference-count traffic for tuples that die
-//! before a sink. Owned [`Composite`]s are built at exactly three sinks:
-//! result deltas written to the caller's buffer, values handed to
+//! of globally-consistent caches. The intermediate tuples of a pipeline
+//! position live in a [`Frontier`]: rows of exactly that position's width
+//! (`j + 1` parts before operator `j`), packed back to back as borrowed
+//! parts from the relation stores (or the update's own tuple). The walk
+//! therefore performs no reference-count traffic for tuples that die
+//! before a sink, and a row costs its own width, not the widest join's.
+//! Owned [`Composite`]s are built at exactly three sinks: result deltas
+//! written to the caller's buffer, values handed to
 //! [`CacheStore::create_hashed`], and tap maintenance values. A cache hit
 //! splices owned cached values, so its results are owned too: they go to
 //! the caller directly when the cache ends the pipeline, and are otherwise
@@ -28,7 +32,7 @@ use acq_mjoin::metrics::PipelineMetrics;
 use acq_mjoin::plan::CompiledOp;
 use acq_mjoin::stats::OnlineStats;
 use acq_relation::Relation;
-use acq_stream::{Composite, Op, RelId, Row, TupleRef, Value};
+use acq_stream::{Composite, Frontier, Op, Projection, RelId, Row, TupleRef, Value};
 
 /// A globally-consistent group's maintenance for updates to one of its
 /// segment relations: the updated tuple is joined with the other segment
@@ -40,14 +44,14 @@ pub(super) struct GcTap {
 }
 
 /// Buffers reused across walks, so a steady-state update allocates
-/// nothing. Row buffers are stored empty and re-typed per walk by
-/// [`recycle`], since their rows borrow from that walk only.
+/// nothing. Frontiers are stored empty and re-typed per walk by
+/// [`Frontier::recycle`], since their rows borrow from that walk only.
 #[derive(Debug, Default)]
 pub(super) struct Scratch {
-    frontier: Vec<Row<'static>>,
-    next: Vec<Row<'static>>,
-    seg: Vec<Row<'static>>,
-    seg_next: Vec<Row<'static>>,
+    frontier: Frontier<'static>,
+    next: Frontier<'static>,
+    seg: Frontier<'static>,
+    seg_next: Frontier<'static>,
     /// Cache-hit results that continue through further operators, one
     /// buffer per cache lookup of the walk (rows borrow each once filled).
     held: Vec<Vec<Composite>>,
@@ -61,45 +65,40 @@ pub(super) struct Scratch {
     key: Vec<Value>,
 }
 
-/// Re-type an emptied row buffer for rows of another lifetime. `Row`'s
-/// layout does not depend on its lifetime, so collecting the empty
-/// iterator reuses the allocation in place.
-fn recycle<'b>(mut v: Vec<Row<'_>>) -> Vec<Row<'b>> {
-    v.clear();
-    v.into_iter().map(|_| unreachable!("cleared")).collect()
-}
-
 /// Where a cache segment's results go.
 enum Dest<'d, 'w> {
     /// The segment ends the pipeline: results are deltas of kind `Op`.
     Sink(&'d mut Vec<(Op, Composite)>, Op),
     /// Operators follow. Miss results continue as rows in `next`; hit
-    /// results are owned, so they go to `held` and a stand-in row takes
-    /// their place in `next` (its position recorded in `holes`) until the
-    /// walk can borrow them.
+    /// results are owned, so they go to `held` and a stand-in row of the
+    /// full width takes their place in `next` (its position recorded in
+    /// `holes`) until the walk can borrow them.
     Rows {
-        next: &'d mut Vec<Row<'w>>,
+        next: &'d mut Frontier<'w>,
         held: &'d mut Vec<Composite>,
         holes: &'d mut Vec<usize>,
     },
 }
 
 impl<'w> Dest<'_, 'w> {
-    fn push_owned(&mut self, c: Composite, stand_in: Row<'w>) {
+    /// Take an owned hit result; `filler` is any part, repeated to make
+    /// the stand-in row.
+    fn push_owned(&mut self, c: Composite, filler: &'w TupleRef) {
         match self {
             Dest::Sink(out, op) => out.push((*op, c)),
             Dest::Rows { next, held, holes } => {
                 holes.push(next.len());
-                next.push(stand_in);
+                let width = next.width();
+                next.push_row(std::iter::repeat_n(filler, width));
                 held.push(c);
             }
         }
     }
 
-    fn push_row(&mut self, r: Row<'w>) {
+    fn push_row(&mut self, r: Row<'_, 'w>) {
         match self {
             Dest::Sink(out, op) => out.push((*op, r.to_composite())),
-            Dest::Rows { next, .. } => next.push(r),
+            Dest::Rows { next, .. } => next.push_row(r.parts().iter().copied()),
         }
     }
 }
@@ -146,11 +145,12 @@ impl<'e> Walk<'e> {
             // cache lookup fills the next unused buffer and then only
             // reads it.
             let mut unused_held = &mut held[..];
-            let mut frontier = recycle(std::mem::take(&mut self.scratch.frontier));
-            let mut next = recycle(std::mem::take(&mut self.scratch.next));
-            let mut seg = recycle(std::mem::take(&mut self.scratch.seg));
-            let mut seg_next = recycle(std::mem::take(&mut self.scratch.seg_next));
-            frontier.push(Row::unit(seed));
+            let mut frontier = std::mem::take(&mut self.scratch.frontier).recycle();
+            let mut next = std::mem::take(&mut self.scratch.next).recycle();
+            let mut seg = std::mem::take(&mut self.scratch.seg).recycle();
+            let mut seg_next = std::mem::take(&mut self.scratch.seg_next).recycle();
+            frontier.reset(1);
+            frontier.push_row([seed]);
             if profiled {
                 self.meter.charge(self.meter.cost_model().profile_overhead);
             }
@@ -184,13 +184,13 @@ impl<'e> Walk<'e> {
                             &mut seg_next,
                             Dest::Sink(out, op_kind),
                         );
-                        frontier.clear();
+                        frontier.reset(end + 2);
                     } else {
                         let (buf, rest) = std::mem::take(&mut unused_held)
                             .split_first_mut()
                             .expect("one held buffer per operator position");
                         unused_held = rest;
-                        next.clear();
+                        next.reset(end + 2);
                         holes.clear();
                         let dest = Dest::Rows {
                             next: &mut next,
@@ -200,7 +200,7 @@ impl<'e> Walk<'e> {
                         self.cache_segment(ci, &frontier, &mut seg, &mut seg_next, dest);
                         let buf: &Vec<Composite> = buf;
                         for (&h, c) in holes.iter().zip(buf) {
-                            next[h] = Row::of(c);
+                            next.set_row(h, c.parts());
                         }
                         std::mem::swap(&mut frontier, &mut next);
                     }
@@ -218,9 +218,9 @@ impl<'e> Walk<'e> {
                     _ => None,
                 };
                 let target_len = relations[op.target.0 as usize].len();
-                next.clear();
-                for row in &frontier {
-                    let produced = self.meter.probe_row(relations, row, op, |r| next.push(r));
+                next.reset(j + 2);
+                for row in frontier.rows() {
+                    let produced = self.meter.probe_row(relations, row, op, &mut next);
                     if let Some(source) = sample_source {
                         self.online
                             .record_probe(source, op.target, produced, target_len);
@@ -243,11 +243,11 @@ impl<'e> Walk<'e> {
                 debug_assert_eq!(profile_rec.len(), num_ops + 1);
                 self.profiler.record_profiled(self.stream, &profile_rec);
             }
-            out.extend(frontier.iter().map(|r| (op_kind, r.to_composite())));
-            self.scratch.frontier = recycle(frontier);
-            self.scratch.next = recycle(next);
-            self.scratch.seg = recycle(seg);
-            self.scratch.seg_next = recycle(seg_next);
+            out.extend(frontier.rows().map(|r| (op_kind, r.to_composite())));
+            self.scratch.frontier = frontier.recycle();
+            self.scratch.next = next.recycle();
+            self.scratch.seg = seg.recycle();
+            self.scratch.seg_next = seg_next.recycle();
         }
         for buf in &mut held {
             buf.clear();
@@ -268,9 +268,9 @@ impl<'e> Walk<'e> {
     fn cache_segment<'w>(
         &mut self,
         ci: usize,
-        frontier: &[Row<'w>],
-        seg: &mut Vec<Row<'w>>,
-        seg_next: &mut Vec<Row<'w>>,
+        frontier: &Frontier<'w>,
+        seg: &mut Frontier<'w>,
+        seg_next: &mut Frontier<'w>,
         mut dest: Dest<'_, 'w>,
     ) where
         'e: 'w,
@@ -286,7 +286,7 @@ impl<'e> Walk<'e> {
         let model_hit_per_tuple = self.meter.cost_model().cache_hit_per_tuple;
         let (mut hits, mut misses, mut hit_ns, mut miss_ns) = (0u64, 0u64, 0u64, 0u64);
 
-        for &row in frontier {
+        for row in frontier.rows() {
             let t0 = self.meter.now_ns();
             key.clear();
             key.extend(
@@ -311,7 +311,7 @@ impl<'e> Walk<'e> {
                             } else {
                                 prefix.as_ref().expect("not yet moved").concat(v)
                             };
-                            dest.push_owned(c, row);
+                            dest.push_owned(c, row.parts()[0]);
                         }
                     }
                     hit_ns += self.meter.now_ns() - t0;
@@ -319,12 +319,12 @@ impl<'e> Walk<'e> {
                 None => {
                     misses += 1;
                     // Run the covered segment for this row alone.
-                    seg.clear();
-                    seg.push(row);
+                    seg.reset(row.len());
+                    seg.push_row(row.parts().iter().copied());
                     for op in &self.ops[start..=end] {
-                        seg_next.clear();
-                        for r in seg.iter() {
-                            self.meter.probe_row(relations, r, op, |x| seg_next.push(x));
+                        seg_next.reset(seg.width() + 1);
+                        for r in seg.rows() {
+                            self.meter.probe_row(relations, r, op, seg_next);
                         }
                         std::mem::swap(seg, seg_next);
                         if seg.is_empty() {
@@ -334,14 +334,14 @@ impl<'e> Walk<'e> {
                     // create(u, v): v restricted to segment relations.
                     values.clear();
                     values.extend(
-                        seg.iter()
+                        seg.rows()
                             .filter_map(|r| r.restrict(segment))
                             .map(|v| (v.to_composite(), 1)),
                     );
                     let create_cost = self.meter.cost_model().cache_update(values.len());
                     store.create_hashed(key, hash, values.drain(..));
                     self.meter.charge(create_cost);
-                    for &r in seg.iter() {
+                    for r in seg.rows() {
                         dest.push_row(r);
                     }
                     miss_ns += self.meter.now_ns() - t0;
@@ -363,14 +363,14 @@ impl<'e> Walk<'e> {
     /// Feed plain-cache maintenance deltas (§3.2): the frontier at the tap
     /// position, restricted to the segment, inserted/deleted per the update's
     /// kind.
-    fn feed_plain_taps(&mut self, taps: &[Tap], frontier: &[Row<'_>], op_kind: Op) {
+    fn feed_plain_taps(&mut self, taps: &[Tap], frontier: &Frontier<'_>, op_kind: Op) {
         let mut cost = 0u64;
         let key = &mut self.scratch.key;
         for tap in taps {
             let Some(store) = self.stores[tap.group].as_mut() else {
                 continue;
             };
-            for row in frontier {
+            for row in frontier.rows() {
                 let Some(seg) = row.restrict(&tap.segment) else {
                     continue;
                 };
@@ -393,20 +393,20 @@ impl<'e> Walk<'e> {
     /// the normal operator costs) and apply the resulting segment-join delta.
     pub(super) fn maintain_gc_direct(&mut self, seed: &TupleRef, op_kind: Op) {
         let (relations, plan) = (self.relations, self.plan);
-        let mut frontier = recycle(std::mem::take(&mut self.scratch.frontier));
-        let mut next = recycle(std::mem::take(&mut self.scratch.next));
+        let mut frontier = std::mem::take(&mut self.scratch.frontier).recycle();
+        let mut next = std::mem::take(&mut self.scratch.next).recycle();
         for gc in &plan.gc_direct {
             let tap = &gc.tap;
             let Some(store) = self.stores[tap.group].as_mut() else {
                 continue;
             };
             // Progressive join through the remaining segment relations.
-            frontier.clear();
-            frontier.push(Row::unit(seed));
+            frontier.reset(1);
+            frontier.push_row([seed]);
             for op in &gc.ops {
-                next.clear();
-                for r in &frontier {
-                    self.meter.probe_row(relations, r, op, |x| next.push(x));
+                next.reset(frontier.width() + 1);
+                for r in frontier.rows() {
+                    self.meter.probe_row(relations, r, op, &mut next);
                 }
                 std::mem::swap(&mut frontier, &mut next);
                 if frontier.is_empty() {
@@ -418,24 +418,24 @@ impl<'e> Walk<'e> {
             }
             let per = self.meter.cost_model().cache_update(1);
             self.meter.charge(frontier.len() as u64 * per);
-            for row in &frontier {
+            for row in frontier.rows() {
                 if let Some(seg) = row.restrict(&tap.segment) {
                     apply_delta(store, &mut self.scratch.key, tap, seg, op_kind);
                 }
             }
         }
-        self.scratch.frontier = recycle(frontier);
-        self.scratch.next = recycle(next);
+        self.scratch.frontier = frontier.recycle();
+        self.scratch.next = next.recycle();
     }
 
     /// Feed Bloom miss-probability estimators with probe-key hashes.
-    fn feed_bloom(&mut self, cand_idxs: &[usize], frontier: &[Row<'_>]) {
+    fn feed_bloom(&mut self, cand_idxs: &[usize], frontier: &Frontier<'_>) {
         use std::hash::Hasher;
         let bloom_cost = self.meter.cost_model().bloom_insert;
         let mut charged = 0u64;
         for &ci in cand_idxs {
             let cr = &mut self.cands[ci];
-            for row in frontier {
+            for row in frontier.rows() {
                 let mut h = acq_sketch::FxHasher::default();
                 for a in &cr.cand.probe_attrs {
                     row.get(*a).expect("probe attr bound").hash_into(&mut h);
@@ -452,7 +452,13 @@ impl<'e> Walk<'e> {
 
 /// Apply one segment delta `seg` to `tap`'s cache entry, keyed on the tap's
 /// maintenance attributes (§3.2 `insert(u, r)` / `delete(u, r)`).
-fn apply_delta(store: &mut CacheStore, key: &mut Vec<Value>, tap: &Tap, seg: Row<'_>, op: Op) {
+fn apply_delta(
+    store: &mut CacheStore,
+    key: &mut Vec<Value>,
+    tap: &Tap,
+    seg: Projection<'_, '_, '_>,
+    op: Op,
+) {
     key.clear();
     key.extend(
         tap.maint_attrs

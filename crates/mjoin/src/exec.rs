@@ -4,15 +4,17 @@
 //! of §3.1 — join a borrowed input row with one relation, enforcing all
 //! compiled predicates, via hash index when the operator has an access path
 //! and nested-loop scan otherwise — charging the virtual clock for every
-//! physical step. It is the one place the probe charging rules live: the
-//! A-Caching engine walks its pipelines over rows with it, and plain MJoin
-//! and the XJoin baseline call it through the owned-composite wrapper
-//! [`JoinCore::probe_join`].
+//! physical step. It appends each match `input · t` straight into the
+//! output [`Frontier`], one row of exactly the output width, so no row is
+//! built or copied per match beyond its own parts. It is the one place the
+//! probe charging rules live: the A-Caching engine walks its pipelines
+//! over frontiers with it, and plain MJoin and the XJoin baseline call it
+//! through the owned-composite wrapper [`JoinCore::probe_join`].
 
 use crate::clock::{CostModel, VirtualClock};
 use crate::plan::CompiledOp;
 use acq_relation::Relation;
-use acq_stream::{Composite, Op, QuerySchema, RelId, Row, TupleRef, Update};
+use acq_stream::{Composite, Frontier, Op, QuerySchema, RelId, Row, TupleRef, Update, MAX_PARTS};
 
 /// Shared execution state: one [`Relation`] per joined relation, the query
 /// graph, and the [`Meter`] (cost model + virtual clock).
@@ -21,6 +23,8 @@ pub struct JoinCore {
     query: QuerySchema,
     relations: Vec<Relation>,
     meter: Meter,
+    /// [`JoinCore::probe_join`]'s result rows, stored empty between calls.
+    results: Frontier<'static>,
 }
 
 /// The charging half of a [`JoinCore`]: cost model, virtual clock and probe
@@ -56,18 +60,21 @@ impl Meter {
     }
 
     /// Execute one join operator: join `input` with `op.target` in
-    /// `relations`, passing each matching concatenation `input · t` to
-    /// `emit` in match order. Returns the number of results emitted.
+    /// `relations`, appending each matching concatenation `input · t` to
+    /// `out` in match order. Returns the number of rows appended.
     ///
     /// Charges an index probe (or a scan) plus one concat per match; index
     /// probes with a NULL probe value match nothing but still pay the probe.
+    ///
+    /// # Panics
+    /// If `out` does not hold rows one part wider than `input`.
     #[inline]
     pub fn probe_row<'a>(
         &mut self,
         relations: &'a [Relation],
-        input: &Row<'a>,
+        input: Row<'_, 'a>,
         op: &CompiledOp,
-        mut emit: impl FnMut(Row<'a>),
+        out: &mut Frontier<'a>,
     ) -> usize {
         let rel = &relations[op.target.0 as usize];
         let mut produced = 0usize;
@@ -85,7 +92,7 @@ impl Meter {
                 for t in rel.probe(col, v) {
                     matches += 1;
                     if residuals_hold(input, t, &op.residual) {
-                        emit(input.extend(t));
+                        out.push_extended(input, t);
                         produced += 1;
                     }
                 }
@@ -98,7 +105,7 @@ impl Meter {
             None => {
                 for t in rel.scan() {
                     if residuals_hold(input, t, &op.residual) {
-                        emit(input.extend(t));
+                        out.push_extended(input, t);
                         produced += 1;
                     }
                 }
@@ -140,6 +147,7 @@ impl JoinCore {
                 clock: VirtualClock::new(),
                 resolved_direct: 0,
             },
+            results: Frontier::default(),
         }
     }
 
@@ -225,10 +233,19 @@ impl JoinCore {
         op: &CompiledOp,
         out: &mut Vec<Composite>,
     ) -> usize {
-        let (relations, meter) = self.split();
-        meter.probe_row(relations, &Row::of(input), op, |r| {
-            out.push(r.to_composite())
-        })
+        let mut parts = input.parts();
+        let first = parts.next().expect("a row has at least one part");
+        let mut buf = [first; MAX_PARTS];
+        for (slot, t) in buf[1..].iter_mut().zip(parts) {
+            *slot = t;
+        }
+        let row = Row::new(&buf[..input.len()]);
+        let mut results = std::mem::take(&mut self.results).recycle();
+        results.reset(row.len() + 1);
+        let n = self.meter.probe_row(&self.relations, row, op, &mut results);
+        out.extend(results.rows().map(|r| r.to_composite()));
+        self.results = results.recycle();
+        n
     }
 
     /// Charge the per-result output cost for `count` emitted deltas.
@@ -242,7 +259,7 @@ impl JoinCore {
 /// candidate target tuple and the bound prefix.
 #[inline]
 fn residuals_hold(
-    input: &Row<'_>,
+    input: Row<'_, '_>,
     candidate: &TupleRef,
     residual: &[(acq_stream::AttrRef, acq_stream::AttrRef)],
 ) -> bool {
@@ -395,6 +412,43 @@ mod tests {
         let mut out = Vec::new();
         let n = core.probe_join(&Composite::unit(r_new), &op, &mut out);
         assert_eq!(n, 0, "NULL = NULL must not join");
+    }
+
+    #[test]
+    fn probe_join_extends_composites_wider_than_the_inline_parts() {
+        // A nine-way star: the last operator extends an eight-part input,
+        // past a composite's seven inline parts, into nine parts.
+        let mut core = JoinCore::new(QuerySchema::star(9));
+        for r in 1..9u16 {
+            ins(&mut core, r, &[7, r as i64]);
+            ins(&mut core, r, &[8, r as i64]);
+        }
+        ins(&mut core, 8, &[7, 80]);
+        let seed = ins(&mut core, 0, &[7, 0]);
+        let mut input = Composite::unit(seed);
+        for r in 1..8u16 {
+            let t = core.relation(RelId(r)).scan().next().unwrap().clone();
+            input.push(t);
+        }
+        assert_eq!(input.len(), 8);
+        let prefix: Vec<RelId> = (0..8).map(RelId).collect();
+        let op = CompiledOp::compile(core.query(), core.relations(), &prefix, RelId(8));
+        let mut out = Vec::new();
+        let n = core.probe_join(&input, &op, &mut out);
+        assert_eq!((n, out.len()), (2, 2), "two R9 tuples with A=7");
+        for c in &out {
+            assert_eq!(c.len(), 9);
+            assert!(
+                c.parts().take(8).eq(input.parts()),
+                "input parts first, in order"
+            );
+            assert_eq!(
+                c.get(acq_stream::AttrRef::new(8, 0)).unwrap().as_int(),
+                Some(7)
+            );
+        }
+        let p = |c: &Composite| c.get(acq_stream::AttrRef::new(8, 1)).unwrap().as_int();
+        assert_eq!([p(&out[0]), p(&out[1])], [Some(8), Some(80)], "match order");
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod window;
 
 pub use merge::{merge_by_timestamp, merge_ordered_runs};
 pub use parse::{parse_query, ParseError};
-pub use row::Row;
+pub use row::{Frontier, Projection, Row};
 pub use schema::{AttrRef, ColId, EquivClassId, JoinPredicate, QuerySchema, RelId, RelationSchema};
 pub use tuple::{Composite, CompositeId, StoredTuple, TupleData, TupleId, TupleRef, MAX_PARTS};
 pub use update::{Op, StreamElement, Update};
