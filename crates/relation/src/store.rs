@@ -25,8 +25,10 @@ const REF_POOL_TRIES: usize = 4;
 ///
 /// Postings are per *key value* within one window, so they are almost always
 /// tiny (join-attribute multiplicity); the spill path exists for skewed
-/// workloads, not the steady state. Once spilled, a list stays on the heap —
-/// it keeps its capacity, so a hot key allocates once, ever.
+/// workloads, not the steady state. Once spilled, a list stays on the heap
+/// while its key has postings, but [`HashIndex`] drops the list when its
+/// last id is removed: a key that drains and recurs starts inline again and
+/// allocates again if it spills again.
 #[derive(Debug, Clone)]
 pub enum IdList {
     /// Up to 6 ids stored inline.

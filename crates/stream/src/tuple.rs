@@ -9,8 +9,8 @@
 //!
 //! A [`Composite`] is an owned concatenation `r · r_1 · r_2 · …` (§3.1): one
 //! part per relation joined. While a pipeline runs, its intermediate tuples
-//! are borrowed [`Row`](crate::Row)s instead; composites are built where a
-//! tuple outlives the walk.
+//! are borrowed [`Row`](crate::Row)s of a [`Frontier`](crate::Frontier)
+//! instead; composites are built where a tuple outlives the walk.
 
 use crate::schema::{AttrRef, RelId};
 use crate::value::Value;
@@ -84,13 +84,10 @@ pub struct StoredTuple {
 /// Shared reference to a stored tuple.
 pub type TupleRef = Arc<StoredTuple>;
 
-/// Maximum number of parts (relations) a join tuple can hold — the
-/// capacity of a [`Row`](crate::Row) and the size of [`CompositeId`]'s fixed
-/// inline buffer. Every experiment in the paper (and every realistic stream
-/// join) has `n ≤ 15`; Fig. 9's widest star joins 9 relations. 15 keeps a
-/// row (15 part references plus its length) at 128 bytes, the largest copy
-/// the compiler emits inline on x86-64: with 16 slots every row copy became
-/// a `memcpy` call, which measured ~20% slower on chain3.
+/// Maximum number of parts (relations) a join tuple can hold — the widest
+/// [`Frontier`](crate::Frontier) row and the size of [`CompositeId`]'s
+/// fixed inline buffer. Every experiment in the paper (and every realistic
+/// stream join) has `n ≤ 15`; Fig. 9's widest star joins 9 relations.
 pub const MAX_PARTS: usize = 15;
 
 /// Inline part capacity of a [`Composite`]. Joins wider than this spill the
