@@ -22,6 +22,12 @@ run cargo test -q --offline --workspace || fail=1
 # point diverges from the oracle or a corpus case is no longer green.
 run cargo run --release --offline -q -p acq-harness -- --seed 1 --cases 6 --check-corpus --no-write || fail=1
 
+# Experiment drift gate (tier 2): every deterministic figure and the
+# ablations rerun and must reproduce EXPERIMENTS_OUTPUT/ byte for byte, so
+# an executor change that moves any published number fails here
+# (~2.5 min on 2 cores).
+run bash scripts/check_experiments.sh || fail=1
+
 # Persistent-runtime data plane (tier 2): the SPSC ring schedule-fuzz
 # model and drop-while-nonempty leak tests, explicitly — the runtime's
 # safety protocol rests on this ring behaving exactly like the model.
