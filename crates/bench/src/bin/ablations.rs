@@ -65,7 +65,6 @@ fn base_config() -> EngineConfig {
         enumeration: EnumerationConfig {
             enable_global: true,
             max_candidates: 6,
-            ..Default::default()
         },
         ..Default::default()
     }

@@ -8,10 +8,10 @@
 //! the paper's ratio (MJoin ÷ cached).
 
 use acq::engine::{AdaptiveJoinEngine, CacheMode, EngineConfig};
+use acq_bench::plans::config_m;
 use acq_bench::report::{write_csv, write_snapshot, Table};
-use acq_bench::runner::{run_engine, run_mjoin};
+use acq_bench::runner::run_engine;
 use acq_gen::spec::chain3_default;
-use acq_mjoin::mjoin::MJoin;
 use acq_mjoin::plan::{PipelineOrder, PlanOrders};
 use acq_stream::{QuerySchema, RelId};
 
@@ -60,8 +60,8 @@ fn main() {
         assert_eq!(engine.used_caches().len(), 1, "forced cache must exist");
         let sc = run_engine(&mut engine, &updates, 0.2);
 
-        let mut mjoin = MJoin::new(q.clone(), orders());
-        let sm = run_mjoin(&mut mjoin, &updates, 0.2);
+        let mut mjoin = AdaptiveJoinEngine::with_config(q.clone(), orders(), config_m());
+        let sm = run_engine(&mut mjoin, &updates, 0.2);
 
         last_snapshot = Some(engine.telemetry_snapshot());
         cached_rates.push(sc.rate);

@@ -6,11 +6,11 @@
 //! caching degrades with update rate but stays ahead even past parity.
 
 use acq::engine::{AdaptiveJoinEngine, CacheMode, EngineConfig};
+use acq_bench::plans::config_m;
 use acq_bench::report::{write_csv, Table};
-use acq_bench::runner::{run_engine, run_mjoin};
+use acq_bench::runner::run_engine;
 use acq_gen::column::ColumnGen;
 use acq_gen::spec::{StreamSpec, Workload};
-use acq_mjoin::mjoin::MJoin;
 use acq_mjoin::plan::{PipelineOrder, PlanOrders};
 use acq_stream::{QuerySchema, RelId};
 
@@ -68,8 +68,8 @@ fn main() {
         };
         let mut engine = AdaptiveJoinEngine::with_config(q.clone(), orders(), cfg);
         let sc = run_engine(&mut engine, &updates, 0.2);
-        let mut m = MJoin::new(q.clone(), orders());
-        let sm = run_mjoin(&mut m, &updates, 0.2);
+        let mut m = AdaptiveJoinEngine::with_config(q.clone(), orders(), config_m());
+        let sm = run_engine(&mut m, &updates, 0.2);
         cached.push(sc.rate);
         mjoin.push(sm.rate);
         ratios.push(sm.rate / sc.rate);

@@ -7,11 +7,11 @@
 //! candidates for the 7-way join) versus the plain MJoin.
 
 use acq::engine::{AdaptiveJoinEngine, EngineConfig, ReoptInterval, SelectionStrategy};
+use acq_bench::plans::config_m;
 use acq_bench::report::{write_csv, Table};
-use acq_bench::runner::{run_engine, run_mjoin};
+use acq_bench::runner::run_engine;
 use acq_gen::column::ColumnGen;
 use acq_gen::spec::{StreamSpec, Workload};
-use acq_mjoin::mjoin::MJoin;
 use acq_mjoin::plan::PlanOrders;
 use acq_stream::QuerySchema;
 
@@ -56,8 +56,9 @@ fn main() {
         let sc = run_engine(&mut engine, &updates, 0.25);
         used_counts.push(engine.used_caches().len() as f64);
 
-        let mut m = MJoin::new(q.clone(), PlanOrders::identity(&q));
-        let sm = run_mjoin(&mut m, &updates, 0.25);
+        let mut m =
+            AdaptiveJoinEngine::with_config(q.clone(), PlanOrders::identity(&q), config_m());
+        let sm = run_engine(&mut m, &updates, 0.25);
         cached.push(sc.rate);
         mjoin.push(sm.rate);
         ratios.push(sm.rate / sc.rate);

@@ -6,10 +6,10 @@
 //! improves significantly with increasing join cost."*
 
 use acq::engine::{AdaptiveJoinEngine, CacheMode, EngineConfig};
+use acq_bench::plans::config_m;
 use acq_bench::report::{write_csv, Table};
-use acq_bench::runner::{run_engine, run_mjoin};
+use acq_bench::runner::run_engine;
 use acq_gen::spec::chain3_default;
-use acq_mjoin::mjoin::MJoin;
 use acq_mjoin::plan::{PipelineOrder, PlanOrders};
 use acq_stream::{ColId, QuerySchema, RelId};
 
@@ -58,10 +58,10 @@ fn main() {
         engine.recompile();
         let sc = run_engine(&mut engine, &updates, 0.2);
 
-        let mut m = MJoin::new(q.clone(), orders());
+        let mut m = AdaptiveJoinEngine::with_config(q.clone(), orders(), config_m());
         m.core_mut().relation_mut(RelId(1)).drop_index(ColId(1));
         m.recompile();
-        let sm = run_mjoin(&mut m, &updates, 0.2);
+        let sm = run_engine(&mut m, &updates, 0.2);
 
         cached.push(sc.rate);
         mjoin.push(sm.rate);

@@ -3,17 +3,17 @@
 //!
 //! 4-way star join `R(A) ⋈ S(A) ⋈ T(A) ⋈ U(A)`; per point, relative rates
 //! and pairwise selectivities from Table 2 (realized with the fitted
-//! hot-value generator). Plans: `M` (best MJoin via A-Greedy), `X` (best
+//! hot-value generator). Plans: `M` (best MJoin: A-Greedy orders, run on
+//! the engine with caching off), `X` (best
 //! XJoin via exhaustive tree search), `P` (A-Caching with the prefix
 //! invariant, exhaustive selection), `G` (with globally-consistent caches,
 //! m = 6). All plans get unconstrained memory (§7.3).
 
 use acq::engine::AdaptiveJoinEngine;
-use acq_bench::plans::{best_mjoin_orders, config_g, config_p, make_stats};
+use acq_bench::plans::{best_mjoin_orders, config_g, config_m, config_p, make_stats};
 use acq_bench::report::{write_csv, Table};
-use acq_bench::runner::{run_engine, run_mjoin, run_xjoin};
+use acq_bench::runner::{run_engine, run_xjoin};
 use acq_gen::table2::TABLE2;
-use acq_mjoin::mjoin::MJoin;
 use acq_mjoin::xjoin::{best_tree, XJoin};
 use acq_stream::QuerySchema;
 
@@ -34,8 +34,8 @@ fn main() {
         let orders = best_mjoin_orders(&q, &stats);
 
         // M: best MJoin.
-        let mut m = MJoin::new(q.clone(), orders.clone());
-        let sm = run_mjoin(&mut m, &updates, 0.25);
+        let mut m = AdaptiveJoinEngine::with_config(q.clone(), orders.clone(), config_m());
+        let sm = run_engine(&mut m, &updates, 0.25);
 
         // X: best XJoin by exhaustive tree search over estimated cost.
         let tree = best_tree(&q, &stats, None).expect("some tree");

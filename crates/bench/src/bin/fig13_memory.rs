@@ -9,11 +9,10 @@
 
 use acq::engine::AdaptiveJoinEngine;
 use acq::MemoryConfig;
-use acq_bench::plans::{best_mjoin_orders, config_g, make_stats};
+use acq_bench::plans::{best_mjoin_orders, config_g, config_m, make_stats};
 use acq_bench::report::{write_csv, write_snapshot, Table};
-use acq_bench::runner::{run_engine, run_mjoin, run_xjoin};
+use acq_bench::runner::{run_engine, run_xjoin};
 use acq_gen::table2::sample_point;
-use acq_mjoin::mjoin::MJoin;
 use acq_mjoin::xjoin::{best_tree, XJoin};
 use acq_stream::QuerySchema;
 
@@ -27,8 +26,8 @@ fn main() {
     let orders = best_mjoin_orders(&q, &stats);
 
     // MJoin: memory-insensitive baseline.
-    let mut m = MJoin::new(q.clone(), orders.clone());
-    let sm = run_mjoin(&mut m, &updates, 0.25);
+    let mut m = AdaptiveJoinEngine::with_config(q.clone(), orders.clone(), config_m());
+    let sm = run_engine(&mut m, &updates, 0.25);
 
     // Best XJoin: measure its rate and actual materialization requirement.
     let tree = best_tree(&q, &stats, None).expect("tree");

@@ -17,6 +17,6 @@ pub mod plans;
 pub mod report;
 pub mod runner;
 
-pub use plans::{best_mjoin_orders, PlanKind};
+pub use plans::best_mjoin_orders;
 pub use report::{write_csv, Series, Table};
-pub use runner::{run_engine, run_mjoin, run_xjoin, RunStats};
+pub use runner::{run_engine, run_xjoin, RunStats};

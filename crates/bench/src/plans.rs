@@ -7,35 +7,10 @@ use acq_mjoin::plan::PlanOrders;
 use acq_mjoin::stats::WorkloadStats;
 use acq_stream::QuerySchema;
 
-/// The four plan families compared in Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanKind {
-    /// `M`: best MJoin (A-Greedy ordering), no caches.
-    MJoin,
-    /// `X`: best XJoin (exhaustive tree search).
-    XJoin,
-    /// `P`: caching plan restricted to the prefix invariant (§4).
-    PrefixCaching,
-    /// `G`: caching plan with globally-consistent caches (§6, `m = 6`).
-    GlobalCaching,
-}
-
-impl PlanKind {
-    /// Paper label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlanKind::MJoin => "M",
-            PlanKind::XJoin => "X",
-            PlanKind::PrefixCaching => "P",
-            PlanKind::GlobalCaching => "G",
-        }
-    }
-}
-
 /// Best MJoin orders for the given workload statistics (the paper's `M` is
 /// "chosen using the A-Greedy algorithm from \[5\]", §7.3).
 pub fn best_mjoin_orders(query: &QuerySchema, stats: &WorkloadStats) -> PlanOrders {
-    GreedyOrderer::default().plan(query, stats)
+    GreedyOrderer.plan(query, stats)
 }
 
 /// Assemble a [`WorkloadStats`] from explicit pieces.
@@ -44,6 +19,15 @@ pub fn make_stats(rates: &[f64], windows: &[usize], sel: Vec<Vec<f64>>) -> Workl
         rates: rates.to_vec(),
         sizes: windows.iter().map(|&w| w as f64).collect(),
         sel,
+    }
+}
+
+/// Engine configuration for the `M` plan: the best MJoin is the engine
+/// with caching off — no candidates, no profiling, no re-optimization.
+pub fn config_m() -> EngineConfig {
+    EngineConfig {
+        mode: CacheMode::None,
+        ..Default::default()
     }
 }
 
@@ -66,7 +50,6 @@ pub fn config_g(m: usize) -> EngineConfig {
         enumeration: EnumerationConfig {
             enable_global: true,
             max_candidates: m,
-            ..Default::default()
         },
         ..config_p()
     }
@@ -78,12 +61,6 @@ mod tests {
     use acq_stream::RelId;
 
     #[test]
-    fn labels() {
-        assert_eq!(PlanKind::MJoin.label(), "M");
-        assert_eq!(PlanKind::GlobalCaching.label(), "G");
-    }
-
-    #[test]
     fn best_orders_validate() {
         let q = QuerySchema::star(4);
         let stats = WorkloadStats::uniform(4, 100.0);
@@ -92,13 +69,14 @@ mod tests {
     }
 
     #[test]
-    fn configs_differ_only_in_enumeration() {
+    fn plan_configs() {
         let p = config_p();
         let g = config_g(6);
         assert!(!p.enumeration.enable_global);
         assert!(g.enumeration.enable_global);
         assert_eq!(g.enumeration.max_candidates, 6);
         assert_eq!(p.selection, SelectionStrategy::Exhaustive);
+        assert_eq!(config_m().mode, CacheMode::None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Drive executors over update streams and measure steady-state rates.
+//! The plain MJoin baseline `M` is an engine run with
+//! [`crate::plans::config_m`].
 
 use acq::engine::AdaptiveJoinEngine;
-use acq_mjoin::mjoin::MJoin;
 use acq_mjoin::xjoin::XJoin;
 use acq_stream::Update;
 
@@ -69,22 +70,6 @@ pub fn run_engine(
     s
 }
 
-/// Run a plain [`MJoin`] baseline the same way.
-pub fn run_mjoin(m: &mut MJoin, updates: &[Update], warmup_frac: f64) -> RunStats {
-    let warm = (updates.len() as f64 * warmup_frac.clamp(0.0, 0.95)) as usize;
-    for u in &updates[..warm] {
-        m.process(u);
-    }
-    let t0 = m.tuples_processed();
-    let ns0 = m.core().now_ns();
-    for u in &updates[warm..] {
-        m.process(u);
-    }
-    let mut s = RunStats::from_window(m.tuples_processed() - t0, m.core().now_ns() - ns0);
-    s.outputs = m.outputs_emitted();
-    s
-}
-
 /// Run an [`XJoin`] baseline the same way.
 pub fn run_xjoin(x: &mut XJoin, updates: &[Update], warmup_frac: f64) -> RunStats {
     let warm = (updates.len() as f64 * warmup_frac.clamp(0.0, 0.95)) as usize;
@@ -133,39 +118,37 @@ pub fn run_engine_timeseries(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acq::engine::{CacheMode, EngineConfig};
+    use crate::plans::config_m;
     use acq_gen::spec::chain3_default;
     use acq_mjoin::plan::PlanOrders;
-    use acq_stream::QuerySchema;
+    use acq_mjoin::xjoin::JoinTree;
+    use acq_stream::{QuerySchema, RelId};
 
     #[test]
-    fn engine_and_mjoin_runners_measure() {
+    fn engine_and_xjoin_runners_measure() {
         let q = QuerySchema::chain3();
         let w = chain3_default(3, 30, 5).generate(600);
-        let cfg = EngineConfig {
-            mode: CacheMode::None,
-            ..Default::default()
-        };
-        let mut e = AdaptiveJoinEngine::with_config(q.clone(), PlanOrders::identity(&q), cfg);
+        let mut e =
+            AdaptiveJoinEngine::with_config(q.clone(), PlanOrders::identity(&q), config_m());
         let se = run_engine(&mut e, &w, 0.2);
         assert!(se.rate > 0.0);
         assert!(se.tuples > 0);
 
-        let mut m = MJoin::new(q.clone(), PlanOrders::identity(&q));
-        let sm = run_mjoin(&mut m, &w, 0.2);
-        assert!(sm.rate > 0.0);
-        assert_eq!(se.outputs, sm.outputs, "same deltas regardless of executor");
+        let mut x = XJoin::new(
+            q.clone(),
+            JoinTree::left_deep(&[RelId(0), RelId(1), RelId(2)]),
+        );
+        let sx = run_xjoin(&mut x, &w, 0.2);
+        assert!(sx.rate > 0.0);
+        assert_eq!(se.outputs, sx.outputs, "same deltas regardless of executor");
     }
 
     #[test]
     fn timeseries_produces_samples() {
         let q = QuerySchema::chain3();
         let w = chain3_default(2, 20, 9).generate(500);
-        let cfg = EngineConfig {
-            mode: CacheMode::None,
-            ..Default::default()
-        };
-        let mut e = AdaptiveJoinEngine::with_config(q.clone(), PlanOrders::identity(&q), cfg);
+        let mut e =
+            AdaptiveJoinEngine::with_config(q.clone(), PlanOrders::identity(&q), config_m());
         let ts = run_engine_timeseries(&mut e, &w, 100);
         assert!(ts.len() >= 4);
         assert!(ts.iter().all(|&(_, r)| r > 0.0));

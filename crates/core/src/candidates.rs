@@ -87,13 +87,14 @@ impl Candidate {
     }
 }
 
+/// Minimum candidate segment length in operators: the paper's candidates
+/// span at least one join, and a single-operator segment would merely
+/// memoize an index probe.
+pub const MIN_SEGMENT_OPS: usize = 2;
+
 /// Enumeration options.
 #[derive(Debug, Clone)]
 pub struct EnumerationConfig {
-    /// Minimum segment length in operators (the paper's candidates span at
-    /// least one join; segments of a single operator merely memoize an index
-    /// probe, so the default is 2).
-    pub min_segment_ops: usize,
     /// Generate globally-consistent candidates when fewer than
     /// `max_candidates` plain candidates exist (§6: the paper's `m`).
     pub enable_global: bool,
@@ -105,7 +106,6 @@ pub struct EnumerationConfig {
 impl Default for EnumerationConfig {
     fn default() -> EnumerationConfig {
         EnumerationConfig {
-            min_segment_ops: 2,
             enable_global: false,
             max_candidates: 6,
         }
@@ -151,7 +151,7 @@ pub fn enumerate_candidates(
         let order = &p.order;
         for start in 0..order.len() {
             for end in start..order.len() {
-                if end - start + 1 < config.min_segment_ops {
+                if end - start + 1 < MIN_SEGMENT_OPS {
                     continue;
                 }
                 let mut segment: Vec<RelId> = order[start..=end].to_vec();
@@ -170,7 +170,7 @@ pub fn enumerate_candidates(
         let mut quota = config.max_candidates - out.len();
         // X = all-but-one first, then all-but-two, … (paper §6): iterate by
         // decreasing segment length.
-        'outer: for seg_len in (config.min_segment_ops..n).rev() {
+        'outer: for seg_len in (MIN_SEGMENT_OPS..n).rev() {
             for p in &orders.pipelines {
                 let order = &p.order;
                 for start in 0..order.len() {
@@ -434,7 +434,6 @@ mod tests {
         let cfg = EnumerationConfig {
             enable_global: true,
             max_candidates: 6,
-            ..Default::default()
         };
         let with_gc = enumerate_candidates(&q, &orders, &cfg);
         assert!(!with_gc.is_empty());
@@ -466,7 +465,6 @@ mod tests {
         let cfg = EnumerationConfig {
             enable_global: true,
             max_candidates: m,
-            ..Default::default()
         };
         let cands = enumerate_candidates(&q, &orders, &cfg);
         let gc = cands.iter().filter(|c| c.is_global()).count();
@@ -480,7 +478,6 @@ mod tests {
         let cfg_big = EnumerationConfig {
             enable_global: true,
             max_candidates: p + 3,
-            ..Default::default()
         };
         let with_gc = enumerate_candidates(&q, &orders, &cfg_big);
         assert_eq!(with_gc.iter().filter(|c| c.is_global()).count(), 3);

@@ -43,9 +43,7 @@ use crate::profiler::{Profiler, ProfilerConfig};
 use crate::select::{self, CacheChoice, SelectionInstance};
 use acq_mjoin::exec::JoinCore;
 use acq_mjoin::metrics::PipelineMetrics;
-use acq_mjoin::ordering::GreedyOrderer;
 use acq_mjoin::plan::{CompiledOp, PlanOrders};
-use acq_mjoin::stats::OnlineStats;
 use acq_sketch::bloom::MissProbEstimator;
 use acq_sketch::WindowStat;
 use acq_stream::{Composite, CompositeId, Op, QuerySchema, RelId, Update, Value};
@@ -55,15 +53,13 @@ use exec::{GcTap, Scratch, Walk};
 /// Which offline selection algorithm the Re-optimizer runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionStrategy {
-    /// §4.4 dispatch: recursive DP when nothing is shared, exhaustive while
-    /// `m` is small, greedy beyond.
+    /// §4.4 dispatch ([`select::solve_auto`]): recursive DP when nothing
+    /// is shared, exhaustive while `m` is small, greedy beyond.
     Auto,
     /// Always exhaustive (exact; the paper's `P`/`G` plans use this).
     Exhaustive,
     /// Always the Appendix B greedy approximation.
     Greedy,
-    /// Always the recursive tree DP (optimal without sharing).
-    Recursive,
     /// Always LP randomized rounding with the given seed.
     Randomized(u64),
     /// Warm-started local search from the previous selection (§8 future
@@ -79,8 +75,9 @@ pub enum CacheMode {
     /// Force exactly these caches (pipeline, sorted segment rels) into the
     /// used state forever — the §7.2 single-cache experiments.
     Forced(Vec<(RelId, Vec<RelId>)>),
-    /// Never use caches (a plain MJoin driven through the same engine, for
-    /// apples-to-apples overhead comparisons).
+    /// Never use caches: the plain MJoin of §3.1, the paper's baseline `M`.
+    /// Nothing is profiled or re-optimized, so only join work and store
+    /// maintenance are charged.
     None,
 }
 
@@ -105,23 +102,15 @@ pub struct EngineConfig {
     pub stats_epoch_ns: u64,
     /// Re-optimization trigger threshold `p` (§4.5c; default 0.2).
     pub p_threshold: f64,
-    /// Candidate enumeration options (min segment, globally-consistent
-    /// quota).
+    /// Candidate enumeration options (globally-consistent candidates and
+    /// their quota).
     pub enumeration: EnumerationConfig,
     /// Memory allocator settings (§5).
     pub memory: MemoryConfig,
     /// Selection algorithm.
     pub selection: SelectionStrategy,
-    /// Exhaustive search cap for [`SelectionStrategy::Auto`].
-    pub exhaustive_limit: usize,
     /// Cache placement mode.
     pub mode: CacheMode,
-    /// Re-derive pipeline orders adaptively at re-optimization boundaries
-    /// (A-Greedy \[5\]); affected pipelines' caches are flushed (§4.5 step 5).
-    pub adaptive_ordering: bool,
-    /// Demote used caches immediately when net benefit turns negative
-    /// (§4.5a).
-    pub monitor_used: bool,
     /// Cache-store associativity (1 = the paper's direct-mapped scheme;
     /// 2/4/8-way round-robin implements §3.3's "other low-overhead cache
     /// replacement schemes" future work).
@@ -138,10 +127,7 @@ impl Default for EngineConfig {
             enumeration: EnumerationConfig::default(),
             memory: MemoryConfig::default(),
             selection: SelectionStrategy::Auto,
-            exhaustive_limit: 20,
             mode: CacheMode::Adaptive,
-            adaptive_ordering: false,
-            monitor_used: true,
             cache_ways: 1,
         }
     }
@@ -228,7 +214,7 @@ pub struct EngineCounters {
     pub reoptimizations: u64,
     /// Immediate demotions of used caches (§4.5a).
     pub demotions: u64,
-    /// Pipeline reorderings.
+    /// Pipeline order changes ([`AdaptiveJoinEngine::set_orders`] calls).
     pub reorderings: u64,
 }
 
@@ -280,7 +266,6 @@ pub struct AdaptiveJoinEngine {
     compiled: Vec<Vec<CompiledOp>>,
     config: EngineConfig,
     profiler: Profiler,
-    online: OnlineStats,
     cands: Vec<CandRuntime>,
     /// One store per shared group (Definition 4.1) — `Some` while any member
     /// is used.
@@ -291,7 +276,6 @@ pub struct AdaptiveJoinEngine {
     last_reopt_ns: u64,
     last_reopt_tuples: u64,
     last_epoch_ns: u64,
-    orderer: GreedyOrderer,
     /// Consecutive re-optimizations that left the used-cache set unchanged
     /// (§8 future work (ii): statistics whose significant changes tend not
     /// to produce new selections get progressively damped by widening the
@@ -357,7 +341,6 @@ impl AdaptiveJoinEngine {
             .map(|p| CompiledOp::compile_pipeline(core.query(), core.relations(), p))
             .collect();
         let mut engine = AdaptiveJoinEngine {
-            online: OnlineStats::new(n, config.profiler.w, 0.01),
             core,
             orders,
             compiled,
@@ -370,7 +353,6 @@ impl AdaptiveJoinEngine {
             last_reopt_ns: 0,
             last_reopt_tuples: 0,
             last_epoch_ns: 0,
-            orderer: GreedyOrderer::default(),
             fruitless_streak: 0,
             scratch: Scratch::default(),
             op_metrics: num_ops.iter().map(|&k| PipelineMetrics::new(k)).collect(),
@@ -685,7 +667,6 @@ impl AdaptiveJoinEngine {
     pub fn process_into(&mut self, u: &Update, out: &mut Vec<(Op, Composite)>) {
         self.counters.tuples_processed += 1;
         self.profiler.record_update(u.rel);
-        self.online.record_update(u.rel);
 
         // Apply to the store first: deltas and cache maintenance carry the
         // stored tuple's identity, which the store assigns on insert and,
@@ -696,11 +677,12 @@ impl AdaptiveJoinEngine {
             self.maybe_housekeeping();
             return;
         };
-        self.online
-            .record_size(u.rel, self.core.relation(u.rel).len());
 
         let pi = u.rel.0 as usize;
         self.op_metrics[pi].record_update();
+        // With caching off there are no candidates to estimate, so no
+        // tuple is profiled: baseline `M` pays for joins alone.
+        let profiled = self.config.mode != CacheMode::None && self.profiler.should_profile(u.rel);
         let before = out.len();
         let (relations, meter) = self.core.split();
         let mut walk = Walk {
@@ -712,7 +694,6 @@ impl AdaptiveJoinEngine {
             cands: &mut self.cands,
             stores: &mut self.stores,
             profiler: &mut self.profiler,
-            online: &mut self.online,
             metrics: &mut self.op_metrics[pi],
             counters: &mut self.counters,
             scratch: &mut self.scratch,
@@ -724,7 +705,6 @@ impl AdaptiveJoinEngine {
         if !walk.plan.gc_direct.is_empty() {
             walk.maintain_gc_direct(&tref, u.op);
         }
-        let profiled = walk.profiler.should_profile(u.rel);
         // The walk writes `(op, composite)` deltas straight into the
         // caller's sink — no staging vector, no second copy per delta.
         walk.run(&tref, u.op, profiled, out);
@@ -788,7 +768,7 @@ impl AdaptiveJoinEngine {
                 }
             }
         }
-        if self.config.monitor_used && self.config.mode == CacheMode::Adaptive {
+        if self.config.mode == CacheMode::Adaptive {
             let grace = self.config.stats_epoch_ns.saturating_mul(2);
             let mut any_demoted = false;
             for ci in 0..self.cands.len() {
@@ -874,21 +854,6 @@ impl AdaptiveJoinEngine {
         self.last_reopt_ns = now;
         self.last_reopt_tuples = self.counters.tuples_processed;
 
-        // Optional adaptive reordering first (§4.5 step 5): changed pipelines
-        // flush caches and candidates.
-        if self.config.adaptive_ordering {
-            let stats = self.online.snapshot(now);
-            if let Some(fresh) =
-                self.orderer
-                    .check_violation(self.core.query(), &stats, &self.orders)
-            {
-                self.set_orders(fresh);
-                self.counters.reorderings += 1;
-                self.tlog.push(Event::new(now, "plan.reordered", ""));
-                return; // fresh candidates need profiling before selection
-            }
-        }
-
         // Estimates for all candidates.
         let mut est: Vec<Option<BenefitCost>> = Vec::with_capacity(self.cands.len());
         for ci in 0..self.cands.len() {
@@ -968,18 +933,12 @@ impl AdaptiveJoinEngine {
             group_cost,
         };
         let (solver, sol) = match self.config.selection {
-            SelectionStrategy::Auto => (
-                select::auto_solver_name(&instance, self.config.exhaustive_limit),
-                select::solve_auto(&instance, self.config.exhaustive_limit),
-            ),
+            SelectionStrategy::Auto => select::solve_auto(&instance),
             SelectionStrategy::Exhaustive => (
                 select::exhaustive::NAME,
                 select::solve_exhaustive(&instance),
             ),
             SelectionStrategy::Greedy => (select::greedy::NAME, select::solve_greedy(&instance)),
-            SelectionStrategy::Recursive => {
-                (select::recursive::NAME, select::solve_recursive(&instance))
-            }
             SelectionStrategy::Randomized(seed) => (
                 select::randomized::NAME,
                 select::solve_randomized(&instance, seed),
@@ -1204,10 +1163,15 @@ impl AdaptiveJoinEngine {
     }
 
     /// Install new pipeline orders: flush all caches, re-enumerate
-    /// candidates, reset order-specific statistics (§4.5 step 5).
+    /// candidates, reset order-specific statistics (§4.5 step 5). The one
+    /// way orders change after construction; each call counts as a
+    /// reordering and logs `plan.reordered`.
     pub fn set_orders(&mut self, orders: PlanOrders) {
         orders.validate(self.core.query()).expect("invalid plan");
         self.orders = orders;
+        self.counters.reorderings += 1;
+        self.tlog
+            .push(Event::new(self.core.now_ns(), "plan.reordered", ""));
         self.compile_pipelines();
         self.op_metrics = self
             .orders
@@ -1218,7 +1182,6 @@ impl AdaptiveJoinEngine {
         for (i, p) in self.orders.pipelines.iter().enumerate() {
             self.profiler.reset_pipeline(RelId(i as u16), p.order.len());
         }
-        self.online.clear();
         self.rebuild_candidates();
         self.apply_forced_mode();
     }

@@ -30,7 +30,6 @@ use crate::profiler::Profiler;
 use acq_mjoin::exec::Meter;
 use acq_mjoin::metrics::PipelineMetrics;
 use acq_mjoin::plan::CompiledOp;
-use acq_mjoin::stats::OnlineStats;
 use acq_relation::Relation;
 use acq_stream::{Composite, Frontier, Op, Projection, RelId, Row, TupleRef, Value};
 
@@ -114,7 +113,6 @@ pub(super) struct Walk<'e> {
     pub(super) cands: &'e mut [CandRuntime],
     pub(super) stores: &'e mut [Option<CacheStore>],
     pub(super) profiler: &'e mut Profiler,
-    pub(super) online: &'e mut OnlineStats,
     pub(super) metrics: &'e mut PipelineMetrics,
     pub(super) counters: &'e mut EngineCounters,
     pub(super) scratch: &'e mut Scratch,
@@ -210,21 +208,9 @@ impl<'e> Walk<'e> {
                 // (d) plain operator execution.
                 let t0 = self.meter.now_ns();
                 let in_count = frontier.len();
-                let op = &ops[j];
-                // Only single-predicate probes identify a selectivity sample.
-                let sample_source = match (op.index_access, op.residual.as_slice()) {
-                    (Some((_, p)), []) => Some(p.rel),
-                    (None, [(_, p)]) => Some(p.rel),
-                    _ => None,
-                };
-                let target_len = relations[op.target.0 as usize].len();
                 next.reset(j + 2);
                 for row in frontier.rows() {
-                    let produced = self.meter.probe_row(relations, row, op, &mut next);
-                    if let Some(source) = sample_source {
-                        self.online
-                            .record_probe(source, op.target, produced, target_len);
-                    }
+                    self.meter.probe_row(relations, row, &ops[j], &mut next);
                 }
                 let dt = self.meter.now_ns() - t0;
                 if profiled {

@@ -19,8 +19,8 @@ pub const NAME: &str = "exhaustive";
 /// Exact maximizer of `Σ benefit − Σ group costs` over nonoverlapping
 /// subsets.
 ///
-/// Runtime is `O(2^m)` worst case; callers should cap `m` (the engine uses
-/// an `exhaustive_limit`, defaulting to ~20).
+/// Runtime is `O(2^m)` worst case; callers should cap `m` (the §4.4
+/// dispatch in [`super::solve_auto`] caps it at [`super::EXHAUSTIVE_LIMIT`]).
 pub fn solve_exhaustive(instance: &SelectionInstance) -> Solution {
     let m = instance.choices.len();
     // Suffix bound: best-case additional benefit from choices i.. (group

@@ -188,29 +188,21 @@ impl SelectionInstance {
     }
 }
 
-/// Pick the best solver for an instance, per §4.4: the optimal recursive
-/// algorithm when nothing is shared, exhaustive search while `2^m` stays
-/// negligible, the greedy approximation beyond that.
-pub fn solve_auto(instance: &SelectionInstance, exhaustive_limit: usize) -> Solution {
-    if !instance.has_sharing() {
-        solve_recursive(instance)
-    } else if instance.choices.len() <= exhaustive_limit {
-        solve_exhaustive(instance)
-    } else {
-        solve_greedy(instance)
-    }
-}
+/// Largest candidate count [`solve_auto`] still searches exhaustively
+/// (§4.4: `2^m` search is negligible for the paper's `m`).
+pub const EXHAUSTIVE_LIMIT: usize = 20;
 
-/// The solver [`solve_auto`] would dispatch to for this instance — used by
-/// the engine's selection trace so `selection.run` events name the concrete
-/// algorithm, not "auto".
-pub fn auto_solver_name(instance: &SelectionInstance, exhaustive_limit: usize) -> &'static str {
+/// Pick the best solver for an instance, per §4.4, and run it: the optimal
+/// recursive algorithm when nothing is shared, exhaustive search up to
+/// [`EXHAUSTIVE_LIMIT`] candidates, the greedy approximation beyond that.
+/// Returns the solver's name (for selection traces) with its solution.
+pub fn solve_auto(instance: &SelectionInstance) -> (&'static str, Solution) {
     if !instance.has_sharing() {
-        recursive::NAME
-    } else if instance.choices.len() <= exhaustive_limit {
-        exhaustive::NAME
+        (recursive::NAME, solve_recursive(instance))
+    } else if instance.choices.len() <= EXHAUSTIVE_LIMIT {
+        (exhaustive::NAME, solve_exhaustive(instance))
     } else {
-        greedy::NAME
+        (greedy::NAME, solve_greedy(instance))
     }
 }
 
@@ -328,7 +320,12 @@ mod tests {
     fn auto_dispatch() {
         let no_share = instance(&[&[10.0]], &[(0, 0, 0, 8.0, 1.0, 0)], &[1.0]);
         assert!(!no_share.has_sharing());
-        let sol = solve_auto(&no_share, 16);
-        assert_eq!(sol, vec![0]);
+        assert_eq!(solve_auto(&no_share), (recursive::NAME, vec![0]));
+        let shared = instance(
+            &[&[10.0], &[10.0]],
+            &[(0, 0, 0, 8.0, 1.0, 0), (1, 0, 0, 8.0, 1.0, 0)],
+            &[5.0],
+        );
+        assert_eq!(solve_auto(&shared), (exhaustive::NAME, vec![0, 1]));
     }
 }

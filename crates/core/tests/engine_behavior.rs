@@ -411,7 +411,6 @@ fn global_cache_forced_matches_oracle() {
     config.enumeration = EnumerationConfig {
         enable_global: true,
         max_candidates: 6,
-        ..Default::default()
     };
     // Force the GC cache over {S, T} in ∆R1's pipeline (witness {R}).
     config.mode = CacheMode::Forced(vec![(RelId(0), vec![RelId(1), RelId(2)])]);
@@ -434,7 +433,6 @@ fn global_cache_adaptive_selection_available() {
     config.enumeration = EnumerationConfig {
         enable_global: true,
         max_candidates: 6,
-        ..Default::default()
     };
     config.reopt_interval = ReoptInterval::Tuples(200);
     let mut engine = AdaptiveJoinEngine::with_config(q, orders, config);

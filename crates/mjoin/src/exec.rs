@@ -8,8 +8,9 @@
 //! output [`Frontier`], one row of exactly the output width, so no row is
 //! built or copied per match beyond its own parts. It is the one place the
 //! probe charging rules live: the A-Caching engine walks its pipelines
-//! over frontiers with it, and plain MJoin and the XJoin baseline call it
-//! through the owned-composite wrapper [`JoinCore::probe_join`].
+//! over frontiers with it (caching off, that walk is the plain MJoin), and
+//! the XJoin baseline calls it through the owned-composite wrapper
+//! [`JoinCore::probe_join`].
 
 use crate::clock::{CostModel, VirtualClock};
 use crate::plan::CompiledOp;

@@ -1,7 +1,8 @@
 //! Naive full-recomputation oracle for correctness testing.
 //!
-//! Every executor in this workspace (MJoin, XJoin, the A-Caching engine in
-//! any cache configuration) must produce *exactly* the delta multiset that a
+//! Every executor in this workspace (XJoin, and the A-Caching engine in any
+//! cache configuration, caching off — the plain MJoin — included) must
+//! produce *exactly* the delta multiset that a
 //! from-scratch nested-loop join would. [`Oracle`] maintains plain multiset
 //! relation contents and computes, per update, the canonical delta rows —
 //! tests diff these against executor output via [`canonical_rows`] /

@@ -1,4 +1,4 @@
-//! Adaptive join ordering in the spirit of A-Greedy.
+//! Join ordering in the spirit of A-Greedy.
 //!
 //! The paper's modular approach (§4) takes the join ordering from previous
 //! work — A-Greedy \[5\] — and layers cache selection on top: *"We use A-Greedy
@@ -10,30 +10,19 @@
 //! pipelines: order each `∆R_i` pipeline to minimize expected intermediate
 //! cardinality at every step (pick next the relation with the smallest
 //! expected fanout against the already-joined set, preferring connected
-//! relations to avoid cross products). Like A-Greedy, it re-derives the
-//! ordering from current statistics and reports whether the greedy invariant
-//! was violated — the adaptive executor reorders (and flushes affected
-//! caches, §4.5 step 5) only when it was.
+//! relations to avoid cross products). It derives static orders from
+//! workload statistics — the best-MJoin orders of the §7.3 plan spectrum.
+//! Orders change at run time only through the engine's `set_orders`, which
+//! flushes the affected caches (§4.5 step 5); no online reordering loop
+//! runs.
 
 use crate::plan::{PipelineOrder, PlanOrders};
 use crate::stats::WorkloadStats;
 use acq_stream::{QuerySchema, RelId};
 
 /// Greedy minimum-intermediate-cardinality orderer.
-#[derive(Debug, Clone)]
-pub struct GreedyOrderer {
-    /// Relative tolerance before a better ordering is considered a violation
-    /// (hysteresis so statistical noise doesn't cause thrashing).
-    pub violation_threshold: f64,
-}
-
-impl Default for GreedyOrderer {
-    fn default() -> GreedyOrderer {
-        GreedyOrderer {
-            violation_threshold: 0.2,
-        }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GreedyOrderer;
 
 impl GreedyOrderer {
     /// Derive the greedy order for one pipeline.
@@ -125,49 +114,6 @@ impl GreedyOrderer {
                 .collect(),
         }
     }
-
-    /// Estimated unit-time processing cost of a plan: for each pipeline, the
-    /// stream rate times the cumulative expected intermediate cardinality
-    /// (each intermediate tuple costs roughly one probe + match work).
-    pub fn plan_cost(&self, query: &QuerySchema, stats: &WorkloadStats, plan: &PlanOrders) -> f64 {
-        let mut total = 0.0;
-        for p in &plan.pipelines {
-            let mut card = 1.0;
-            let mut pipeline_work = 0.0;
-            let mut set = vec![p.stream];
-            for &next in &p.order {
-                // Each of `card` tuples probes `next`.
-                pipeline_work += card;
-                card *= Self::growth_factor(query, stats, &set, next);
-                set.push(next);
-            }
-            pipeline_work += card; // producing the final results
-            total += stats.rates[p.stream.0 as usize] * pipeline_work;
-        }
-        total
-    }
-
-    /// Would re-deriving the plan from `stats` improve on `current` by more
-    /// than the hysteresis threshold? Returns the better plan if so — the
-    /// A-Greedy-style violation check.
-    pub fn check_violation(
-        &self,
-        query: &QuerySchema,
-        stats: &WorkloadStats,
-        current: &PlanOrders,
-    ) -> Option<PlanOrders> {
-        let fresh = self.plan(query, stats);
-        if fresh == *current {
-            return None;
-        }
-        let cost_cur = self.plan_cost(query, stats, current);
-        let cost_new = self.plan_cost(query, stats, &fresh);
-        if cost_new < cost_cur * (1.0 - self.violation_threshold) {
-            Some(fresh)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +126,7 @@ mod tests {
         // would be a cross product. Greedy must pick S.
         let q = QuerySchema::chain3();
         let stats = WorkloadStats::uniform(3, 100.0);
-        let o = GreedyOrderer::default();
+        let o = GreedyOrderer;
         let p = o.order_pipeline(&q, &stats, RelId(0));
         assert_eq!(p.order, vec![RelId(1), RelId(2)]);
         // From T likewise: S first.
@@ -196,7 +142,7 @@ mod tests {
         stats.set_sel(RelId(0), RelId(1), 0.001); // fanout 0.1
         stats.set_sel(RelId(0), RelId(2), 0.1); // fanout 10
         stats.set_sel(RelId(0), RelId(3), 0.01); // fanout 1
-        let o = GreedyOrderer::default();
+        let o = GreedyOrderer;
         let p = o.order_pipeline(&q, &stats, RelId(0));
         assert_eq!(p.order[0], RelId(1));
         assert_eq!(p.order.last(), Some(&RelId(2)));
@@ -206,52 +152,7 @@ mod tests {
     fn plan_covers_all_streams() {
         let q = QuerySchema::star(5);
         let stats = WorkloadStats::uniform(5, 50.0);
-        let plan = GreedyOrderer::default().plan(&q, &stats);
+        let plan = GreedyOrderer.plan(&q, &stats);
         plan.validate(&q).unwrap();
-    }
-
-    #[test]
-    fn plan_cost_monotone_in_rate() {
-        let q = QuerySchema::chain3();
-        let o = GreedyOrderer::default();
-        let stats = WorkloadStats::uniform(3, 100.0);
-        let plan = o.plan(&q, &stats);
-        let c1 = o.plan_cost(&q, &stats, &plan);
-        let mut fast = stats.clone();
-        fast.rates[0] = 10.0;
-        let c2 = o.plan_cost(&q, &fast, &plan);
-        assert!(c2 > c1);
-    }
-
-    #[test]
-    fn violation_triggers_on_large_shift() {
-        let q = QuerySchema::star(4);
-        let o = GreedyOrderer::default();
-        let mut stats = WorkloadStats::uniform(4, 100.0);
-        stats.set_sel(RelId(0), RelId(1), 0.001);
-        stats.set_sel(RelId(0), RelId(2), 0.5);
-        let plan = o.plan(&q, &stats);
-        assert!(
-            o.check_violation(&q, &stats, &plan).is_none(),
-            "fresh plan is stable"
-        );
-        // Invert the world: R1 now expensive, R2 cheap.
-        stats.set_sel(RelId(0), RelId(1), 0.5);
-        stats.set_sel(RelId(0), RelId(2), 0.001);
-        let better = o.check_violation(&q, &stats, &plan);
-        assert!(better.is_some(), "large shift must trigger reordering");
-        let better = better.unwrap();
-        assert_ne!(better, plan);
-    }
-
-    #[test]
-    fn small_shift_does_not_thrash() {
-        let q = QuerySchema::chain3();
-        let o = GreedyOrderer::default();
-        let mut stats = WorkloadStats::uniform(3, 100.0);
-        let plan = o.plan(&q, &stats);
-        // 5% wobble in one selectivity: same-or-similar plan, no violation.
-        stats.set_sel(RelId(0), RelId(1), 0.0105);
-        assert!(o.check_violation(&q, &stats, &plan).is_none());
     }
 }

@@ -65,7 +65,6 @@ fn main() {
         enumeration: EnumerationConfig {
             enable_global: true,
             max_candidates: 6,
-            ..Default::default()
         },
         ..Default::default()
     };

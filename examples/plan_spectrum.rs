@@ -1,18 +1,18 @@
 //! The MJoin ↔ XJoin spectrum on one workload.
 //!
-//! Runs the same 4-way star-join update stream through four executors —
-//! plain MJoin, fully materialized XJoin, A-Caching with the prefix
-//! invariant, and A-Caching with globally-consistent caches — and compares
+//! Runs the same 4-way star-join update stream through four plans — plain
+//! MJoin (the A-Caching engine with caching off), fully materialized XJoin,
+//! A-Caching with the prefix invariant, and A-Caching with
+//! globally-consistent caches — and compares
 //! throughput, state size, and (identical) outputs. A compact version of the
 //! paper's Figure 11 experiment you can point at your own workload.
 //!
 //! Run with: `cargo run --release --example plan_spectrum`
 
 use acq::engine::AdaptiveJoinEngine;
-use acq_bench::plans::{best_mjoin_orders, config_g, config_p, make_stats};
-use acq_bench::runner::{run_engine, run_mjoin, run_xjoin};
+use acq_bench::plans::{best_mjoin_orders, config_g, config_m, config_p, make_stats};
+use acq_bench::runner::{run_engine, run_xjoin};
 use acq_gen::table2::sample_point;
-use acq_mjoin::mjoin::MJoin;
 use acq_mjoin::xjoin::{best_tree, XJoin};
 use acq_stream::QuerySchema;
 
@@ -28,8 +28,8 @@ fn main() {
     let stats = make_stats(&point.rates, &[window; 4], point.sel_matrix());
     let orders = best_mjoin_orders(&q, &stats);
 
-    let mut m = MJoin::new(q.clone(), orders.clone());
-    let sm = run_mjoin(&mut m, &updates, 0.25);
+    let mut m = AdaptiveJoinEngine::with_config(q.clone(), orders.clone(), config_m());
+    let sm = run_engine(&mut m, &updates, 0.25);
 
     let tree = best_tree(&q, &stats, None).expect("tree");
     println!("best XJoin tree: {tree}");

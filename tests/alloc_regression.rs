@@ -209,7 +209,6 @@ fn used_global_cache_allocates_only_what_the_stores_do() {
         enumeration: EnumerationConfig {
             enable_global: true,
             max_candidates: 6,
-            ..Default::default()
         },
         ..Default::default()
     });

@@ -1,12 +1,14 @@
-//! Property-based correctness: for arbitrary update sequences and arbitrary
-//! engine configurations, the A-Caching engine's output delta stream must
-//! equal a naive oracle's, and every active cache must satisfy its
-//! consistency invariant (Definition 3.1 / 6.1).
+//! Property-based correctness: for arbitrary update sequences, arbitrary
+//! engine configurations and arbitrary pipeline orders (also changed
+//! mid-stream), the A-Caching engine's output delta stream must equal a
+//! naive oracle's, and every active cache must satisfy its consistency
+//! invariant (Definition 3.1 / 6.1). §3.1's semantics fix *what* an MJoin
+//! computes; its orders only change the cost.
 
 use acq::engine::{AdaptiveJoinEngine, CacheMode, EngineConfig, ReoptInterval, SelectionStrategy};
 use acq::{EnumerationConfig, MemoryConfig, ProfilerConfig};
 use acq_mjoin::oracle::{canonical_rows, multiset_diff, Oracle};
-use acq_mjoin::plan::PlanOrders;
+use acq_mjoin::plan::{PipelineOrder, PlanOrders};
 use acq_stream::{Op, QuerySchema, RelId, TupleData, Update};
 use proptest::prelude::*;
 
@@ -53,6 +55,32 @@ fn materialize(steps: &[Step], query: &QuerySchema) -> Vec<Update> {
     out
 }
 
+/// A permutation of 0..n−1 encoded by repeated selection.
+fn permutation(n: usize) -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..1000, n).prop_map(move |keys| {
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.sort_by_key(|&i| keys[i]);
+        idx
+    })
+}
+
+/// Any valid plan: every pipeline joins the other relations in any order.
+fn orders_strategy(n: u16) -> impl Strategy<Value = PlanOrders> {
+    proptest::collection::vec(permutation(n as usize - 1), n as usize).prop_map(move |perms| {
+        PlanOrders::new(
+            (0..n)
+                .map(|stream| {
+                    let others: Vec<RelId> = (0..n).filter(|&r| r != stream).map(RelId).collect();
+                    PipelineOrder {
+                        stream: RelId(stream),
+                        order: perms[stream as usize].iter().map(|&i| others[i]).collect(),
+                    }
+                })
+                .collect(),
+        )
+    })
+}
+
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let fast_profiler = ProfilerConfig {
         w: 3,
@@ -95,7 +123,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
                 enumeration: EnumerationConfig {
                     enable_global: true,
                     max_candidates: 6,
-                    ..Default::default()
                 },
                 ..base.clone()
             },
@@ -114,11 +141,29 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
 }
 
 fn check_engine(query: QuerySchema, updates: &[Update], label: &str, config: EngineConfig) {
+    let orders = PlanOrders::identity(&query);
+    check_engine_with_orders(query, updates, label, config, orders, None);
+}
+
+/// [`check_engine`] from `orders`, switching to `reorder.1` through
+/// `set_orders` before update `reorder.0`.
+fn check_engine_with_orders(
+    query: QuerySchema,
+    updates: &[Update],
+    label: &str,
+    config: EngineConfig,
+    orders: PlanOrders,
+    reorder: Option<(usize, PlanOrders)>,
+) {
     let n = query.num_relations();
-    let mut engine =
-        AdaptiveJoinEngine::with_config(query.clone(), PlanOrders::identity(&query), config);
+    let mut engine = AdaptiveJoinEngine::with_config(query.clone(), orders, config);
     let mut oracle = Oracle::new(query);
     for (i, u) in updates.iter().enumerate() {
+        if let Some((at, after)) = &reorder {
+            if i == *at {
+                engine.set_orders(after.clone());
+            }
+        }
         let got: Vec<_> = engine
             .process(u)
             .into_iter()
@@ -165,15 +210,44 @@ proptest! {
     }
 
     #[test]
+    fn any_pipeline_orders_give_oracle_deltas(
+        steps in proptest::collection::vec(step_strategy(4), 40..120),
+        orders in orders_strategy(4),
+    ) {
+        let query = QuerySchema::star(4);
+        let updates = materialize(&steps, &query);
+        for (label, config) in configs().into_iter().take(3) {
+            let orders = orders.clone();
+            check_engine_with_orders(query.clone(), &updates, label, config, orders, None);
+        }
+    }
+
+    #[test]
+    fn mid_stream_set_orders_is_transparent(
+        steps in proptest::collection::vec(step_strategy(3), 40..160),
+        before in orders_strategy(3),
+        after in orders_strategy(3),
+    ) {
+        let query = QuerySchema::chain3();
+        let updates = materialize(&steps, &query);
+        let reorder = Some((updates.len() / 2, after));
+        for (label, config) in configs() {
+            let (before, reorder) = (before.clone(), reorder.clone());
+            check_engine_with_orders(query.clone(), &updates, label, config, before, reorder);
+        }
+    }
+
+    #[test]
     fn executors_agree_with_each_other(
         steps in proptest::collection::vec(step_strategy(3), 30..150),
     ) {
-        use acq_mjoin::mjoin::MJoin;
+        use acq_bench::plans::config_m;
         use acq_mjoin::xjoin::{JoinTree, XJoin};
 
         let query = QuerySchema::chain3();
         let updates = materialize(&steps, &query);
-        let mut m = MJoin::new(query.clone(), PlanOrders::identity(&query));
+        let orders = PlanOrders::identity(&query);
+        let mut m = AdaptiveJoinEngine::with_config(query.clone(), orders, config_m());
         let mut x = XJoin::new(
             query.clone(),
             JoinTree::left_deep(&[RelId(0), RelId(1), RelId(2)]),

@@ -151,7 +151,6 @@ fn fig12_run() -> Observed {
         enumeration: EnumerationConfig {
             enable_global: true,
             max_candidates: 6,
-            ..Default::default()
         },
         ..Default::default()
     };
