@@ -1,11 +1,11 @@
 //! Per-pipeline / per-operator execution metrics and their export into
 //! [`acq_telemetry::TelemetrySnapshot`]s.
 //!
-//! Every executor in this crate (and the A-Caching engine in `acq`) drives
-//! pipelines of compiled operators; the raw observables are identical —
-//! tuples in, tuples out, virtual time spent — so the accumulation type
-//! lives here and is shared. These counts are the raw material for the
-//! paper's `d_ij` (drop/fanout) and `c_ij` (per-tuple cost) estimates.
+//! The A-Caching engine in `acq` — caching off, that is the plain MJoin —
+//! drives pipelines of the compiled operators of [`crate::plan`] and
+//! records, per operator position, tuples in, tuples out and virtual time
+//! spent. These counts are the raw material for the paper's `d_ij`
+//! (drop/fanout) and `c_ij` (per-tuple cost) estimates.
 
 use acq_telemetry::TelemetrySnapshot;
 
@@ -62,14 +62,6 @@ impl PipelineMetrics {
         self.ops[j].record(tuples_in, tuples_out, cost_ns);
     }
 
-    /// Reset all counts, resizing to `n_ops` positions (used when a plan is
-    /// reordered — per-position stats are order-specific).
-    pub fn reset(&mut self, n_ops: usize) {
-        self.updates = 0;
-        self.ops.clear();
-        self.ops.resize(n_ops, OpStats::default());
-    }
-
     /// Emit this pipeline's metrics into a snapshot.
     ///
     /// Produces, per operator position `j` (labels `pipeline`, `op`):
@@ -121,16 +113,5 @@ mod tests {
             .get("op.fanout", &[("pipeline", "0"), ("op", "0")])
             .and_then(|v| v.as_ratio());
         assert_eq!(fanout, Some(3.0));
-    }
-
-    #[test]
-    fn reset_resizes_and_zeroes() {
-        let mut pm = PipelineMetrics::new(1);
-        pm.record_update();
-        pm.record_op(0, 5, 5, 100);
-        pm.reset(3);
-        assert_eq!(pm.updates, 0);
-        assert_eq!(pm.ops.len(), 3);
-        assert_eq!(pm.ops[0].tuples_in, 0);
     }
 }
