@@ -7,7 +7,10 @@
 //! charge, sample and emit exactly as before: the same final virtual time,
 //! the same counters, the same per-operator statistics, the same sequence
 //! of used-cache sets and the same deltas in the same order with the same
-//! part order. Any drift in these values is a behaviour change.
+//! part order. The Re-optimizer's decisions are pinned through its event
+//! trace (every score, selection run, memory grant and cache transition)
+//! and the store and memory metrics they leave behind. Any drift in these
+//! values is a behaviour change.
 
 use acq::engine::{AdaptiveJoinEngine, EngineConfig, ReoptInterval, SelectionStrategy};
 use acq::EnumerationConfig;
@@ -15,7 +18,7 @@ use acq_gen::column::ColumnGen;
 use acq_gen::spec::{chain3_default, Burst, StreamSpec, Workload};
 use acq_mjoin::plan::{PipelineOrder, PlanOrders};
 use acq_stream::{Op, QuerySchema, RelId, Update};
-use acq_telemetry::MetricValue;
+use acq_telemetry::{FieldValue, MetricValue, TelemetrySnapshot};
 
 /// Everything the golden runs pin.
 #[derive(Debug, PartialEq, Eq)]
@@ -33,7 +36,34 @@ struct Observed {
     /// part's `(relation, tuple id)` in part order.
     delta_hash: u64,
     deltas: u64,
+    /// Order-sensitive hash over the snapshot's event trace: each event's
+    /// virtual time, kind, subject and every field with its value.
+    event_hash: u64,
+    /// `(events retained, events dropped)`.
+    events: [u64; 2],
+    /// Each metric of [`STORE_METRICS`], summed over its groups.
+    store_totals: [u64; 13],
+    /// Order-sensitive hash over every `memory.*` and `store.*` metric:
+    /// its name, labels and value, in snapshot order.
+    store_hash: u64,
 }
+
+/// The `memory.*` and `store.*` metrics whose totals are pinned.
+const STORE_METRICS: [&str; 13] = [
+    "memory.cache_bytes",
+    "memory.granted_bytes",
+    "memory.granted_total",
+    "store.memory_bytes",
+    "store.buckets",
+    "store.entries",
+    "store.hits",
+    "store.misses",
+    "store.creates",
+    "store.collisions",
+    "store.maintenance_applied",
+    "store.maintenance_ignored",
+    "store.bloom_filtered",
+];
 
 struct Fnv(u64);
 
@@ -44,6 +74,76 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
+
+    /// A length-prefixed string, so adjacent strings cannot run together.
+    fn str(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for b in s.bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+}
+
+fn event_hash(s: &TelemetrySnapshot) -> u64 {
+    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    for e in s.events() {
+        h.word(e.at_ns);
+        h.str(e.kind);
+        h.str(&e.subject);
+        h.word(e.fields.len() as u64);
+        for (key, value) in &e.fields {
+            h.str(key);
+            match value {
+                FieldValue::U64(v) => {
+                    h.word(0);
+                    h.word(*v);
+                }
+                FieldValue::F64(v) => {
+                    h.word(1);
+                    h.word(v.to_bits());
+                }
+                FieldValue::Str(v) => {
+                    h.word(2);
+                    h.str(v);
+                }
+                FieldValue::Bool(v) => {
+                    h.word(3);
+                    h.word(*v as u64);
+                }
+            }
+        }
+    }
+    h.0
+}
+
+/// `(totals per STORE_METRICS entry, hash over every memory.*/store.* metric)`.
+fn store_metrics(s: &TelemetrySnapshot) -> ([u64; 13], u64) {
+    let mut totals = [0u64; 13];
+    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    for m in s.metrics() {
+        if !(m.name.starts_with("memory.") || m.name.starts_with("store.")) {
+            continue;
+        }
+        let v = match m.value {
+            MetricValue::Counter(v) => v,
+            MetricValue::Gauge(v) => {
+                assert_eq!(v.fract(), 0.0, "{} is a whole number", m.name);
+                v as u64
+            }
+            ref other => panic!("{} is not a counter or gauge: {other:?}", m.name),
+        };
+        h.str(&m.name);
+        for (k, l) in &m.labels {
+            h.str(k);
+            h.str(l);
+        }
+        h.word(v);
+        if let Some(i) = STORE_METRICS.iter().position(|&n| n == m.name) {
+            totals[i] += v;
+        }
+    }
+    (totals, h.0)
 }
 
 fn observe(mut engine: AdaptiveJoinEngine, updates: &[Update]) -> Observed {
@@ -84,6 +184,7 @@ fn observe(mut engine: AdaptiveJoinEngine, updates: &[Update]) -> Observed {
             ]);
         }
     }
+    let (store_totals, store_hash) = store_metrics(&s);
     Observed {
         virtual_ns: counter("engine.virtual_ns", &[]),
         counters: [
@@ -100,6 +201,10 @@ fn observe(mut engine: AdaptiveJoinEngine, updates: &[Update]) -> Observed {
         plans,
         delta_hash: hash.0,
         deltas,
+        event_hash: event_hash(&s),
+        events: [s.events().len() as u64, s.events_dropped()],
+        store_totals,
+        store_hash,
     }
 }
 
@@ -229,6 +334,13 @@ fn chain3_matches_golden() {
         plans: plans(&["", "C[∆R2: R0⋈R1 @0..1]"]),
         delta_hash: 8_751_838_108_590_015_211,
         deltas: 56_645,
+        event_hash: 18_434_680_007_837_037_184,
+        events: [16, 0],
+        store_totals: [
+            144_104, 77_824, 77_824, 144_104, 1_024, 1_020, 41_582, 6_700, 6_700, 5_680, 4_367,
+            6_669, 5_118,
+        ],
+        store_hash: 6_038_549_395_519_706_300,
     };
     assert_eq!(chain3_run(), expected);
 }
@@ -251,6 +363,13 @@ fn fig12_burst_matches_golden() {
         // oldest, so this hash pins which copy each delete's deltas carry.
         delta_hash: 16_770_837_787_795_926_872,
         deltas: 421_652,
+        event_hash: 10_767_857_418_437_885_155,
+        events: [35, 0],
+        store_totals: [
+            181_168, 593_920, 593_920, 181_168, 2_048, 98, 61_912, 4_855, 4_855, 4_661, 38_978,
+            4_682, 267,
+        ],
+        store_hash: 5_768_237_321_305_907_011,
     };
     assert_eq!(fig12_run(), expected);
 }
@@ -277,6 +396,13 @@ fn star4_matches_golden() {
         plans: plans(&["", "C[∆R2: R0⋈R1 @0..1] C[∆R3: R0⋈R1⋈R2 @0..2]"]),
         delta_hash: 2_148_835_684_431_216_726,
         deltas: 82_943,
+        event_hash: 17_704_617_903_731_851_309,
+        events: [6, 0],
+        store_totals: [
+            149_392, 233_472, 233_472, 149_392, 1_536, 336, 16_933, 902, 902, 566, 35_609, 13_976,
+            398,
+        ],
+        store_hash: 11_969_812_686_321_286_171,
     };
     assert_eq!(star4_run(), expected);
 }
@@ -371,6 +497,13 @@ fn star9_matches_golden() {
         ]),
         delta_hash: 2_171_657_565_076_945_541,
         deltas: 15_000,
+        event_hash: 7_511_211_891_338_390_589,
+        events: [78, 0],
+        store_totals: [
+            44_864, 57_344, 57_344, 44_864, 448, 144, 11_923, 1_994, 1_994, 1_811, 48_544, 8_938,
+            246,
+        ],
+        store_hash: 15_010_553_880_763_476_002,
     };
     assert_eq!(star9_run(), expected);
 }
