@@ -24,14 +24,41 @@
 //! paper's executor, so virtual time, profiler samples and delta order do
 //! not depend on how intermediate tuples are held.
 
-use super::{CandRuntime, EngineCounters, InjectedFault, PipelinePlan, Tap};
+use super::adapt::{CacheGroup, CandRuntime};
+use super::{EngineCounters, InjectedFault};
 use crate::cache::{hash_key, CacheStore};
 use crate::profiler::Profiler;
 use acq_mjoin::exec::Meter;
 use acq_mjoin::metrics::PipelineMetrics;
 use acq_mjoin::plan::CompiledOp;
 use acq_relation::Relation;
-use acq_stream::{Composite, Frontier, Op, Projection, RelId, Row, TupleRef, Value};
+use acq_stream::{AttrRef, Composite, Frontier, Op, Projection, RelId, Row, TupleRef, Value};
+
+/// A pipeline's execution plan, derived from the candidate states by the
+/// Re-optimizer.
+#[derive(Debug)]
+pub(super) struct PipelinePlan {
+    /// `lookup[j]` = used candidate starting at position `j`.
+    pub(super) lookup: Vec<Option<usize>>,
+    /// `taps[j]` = plain-cache maintenance taps before position `j`.
+    pub(super) taps: Vec<Vec<Tap>>,
+    /// `bloom[j]` = profiled candidates whose probe stream passes position
+    /// `j`.
+    pub(super) bloom: Vec<Vec<usize>>,
+    /// Globally-consistent groups whose segment contains this pipeline's
+    /// stream: their segment-join delta is computed separately on every
+    /// update to this relation.
+    pub(super) gc_direct: Vec<GcTap>,
+}
+
+/// One maintenance tap: feed segment deltas of `group` at a pipeline
+/// position.
+#[derive(Debug, Clone)]
+pub(super) struct Tap {
+    pub(super) group: usize,
+    pub(super) segment: Vec<RelId>,
+    pub(super) maint_attrs: Vec<AttrRef>,
+}
 
 /// A globally-consistent group's maintenance for updates to one of its
 /// segment relations: the updated tuple is joined with the other segment
@@ -111,7 +138,7 @@ pub(super) struct Walk<'e> {
     pub(super) ops: &'e [CompiledOp],
     pub(super) plan: &'e PipelinePlan,
     pub(super) cands: &'e mut [CandRuntime],
-    pub(super) stores: &'e mut [Option<CacheStore>],
+    pub(super) groups: &'e mut [CacheGroup],
     pub(super) profiler: &'e mut Profiler,
     pub(super) metrics: &'e mut PipelineMetrics,
     pub(super) counters: &'e mut EngineCounters,
@@ -267,7 +294,8 @@ impl<'e> Walk<'e> {
         let (key_attrs, segment) = (&cand.probe_attrs, &cand.segment);
         let key = &mut self.scratch.key;
         let values = &mut self.scratch.values;
-        let store = self.stores[group].as_mut().expect("used cache has a store");
+        let store = &mut self.groups[group].store;
+        let store = store.as_mut().expect("used cache has a store");
         let model_probe = self.meter.cost_model().cache_probe(key_attrs.len());
         let model_hit_per_tuple = self.meter.cost_model().cache_hit_per_tuple;
         let (mut hits, mut misses, mut hit_ns, mut miss_ns) = (0u64, 0u64, 0u64, 0u64);
@@ -353,7 +381,7 @@ impl<'e> Walk<'e> {
         let mut cost = 0u64;
         let key = &mut self.scratch.key;
         for tap in taps {
-            let Some(store) = self.stores[tap.group].as_mut() else {
+            let Some(store) = self.groups[tap.group].store.as_mut() else {
                 continue;
             };
             for row in frontier.rows() {
@@ -383,7 +411,7 @@ impl<'e> Walk<'e> {
         let mut next = std::mem::take(&mut self.scratch.next).recycle();
         for gc in &plan.gc_direct {
             let tap = &gc.tap;
-            let Some(store) = self.stores[tap.group].as_mut() else {
+            let Some(store) = self.groups[tap.group].store.as_mut() else {
                 continue;
             };
             // Progressive join through the remaining segment relations.

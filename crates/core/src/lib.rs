@@ -64,8 +64,8 @@ pub use cache::{CacheStats, CacheStore};
 pub use candidates::{enumerate_candidates, is_prefix_set, Candidate, EnumerationConfig};
 pub use cost::{benefit_cost, BenefitCost, CandidateEstimates};
 pub use engine::{
-    AdaptiveJoinEngine, CacheMode, CacheState, CandidateDiagnostics, EngineConfig, EngineCounters,
-    InjectedFault, ReoptInterval, SelectionStrategy,
+    AdaptiveJoinEngine, CacheMode, CacheState, EngineConfig, EngineCounters, InjectedFault,
+    ReoptInterval, SelectionStrategy,
 };
 pub use memory::{allocate, Allocation, MemoryConfig, MemoryRequest};
 pub use profiler::{Profiler, ProfilerConfig};

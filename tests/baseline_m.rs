@@ -170,3 +170,28 @@ fn set_orders_resets_op_stats_and_counts_a_reordering() {
     let out = m.process(&upd(0, Op::Insert, &[1], 3));
     assert_eq!(out.len(), 1);
 }
+
+#[test]
+fn baseline_estimates_nothing() {
+    // With caching off no estimate is ever read, so the engine counts no
+    // stream rates, rolls no statistics epochs and profiles no tuple: over
+    // a stream spanning many epochs every profiler gauge stays at zero.
+    let updates = chain3_default(5, 100, 7).generate(8_000);
+    let mut m = engine_m(QuerySchema::chain3());
+    for u in &updates {
+        m.process(u);
+    }
+    let s = m.telemetry_snapshot();
+    for pipeline in ["0", "1", "2"] {
+        assert_eq!(
+            s.get("profiler.rate", &[("pipeline", pipeline)]),
+            Some(&MetricValue::Gauge(0.0)),
+            "pipeline {pipeline} counted a rate"
+        );
+    }
+    assert_eq!(
+        s.get("profiler.warm", &[]),
+        Some(&MetricValue::Ratio { num: 0.0, den: 3.0 })
+    );
+    assert!(s.events().is_empty(), "{:?}", s.events());
+}
