@@ -26,10 +26,10 @@ pub struct ProfilerConfig {
     /// the paper samples with probability `p_i` — a fixed stride keeps runs
     /// reproducible at the same expected overhead).
     pub profile_every: u64,
-    /// Bloom observation window `W_d` (tuples per miss-prob observation).
+    /// Bloom observation window `W_d` (tuples per miss-prob observation;
+    /// each filter holds [`acq_sketch::bloom::MISS_ESTIMATION_ALPHA`]` · W_d`
+    /// bits).
     pub bloom_window: usize,
-    /// Bloom bits-per-tuple multiplier `α ≥ 1`.
-    pub bloom_alpha: usize,
 }
 
 impl Default for ProfilerConfig {
@@ -38,7 +38,6 @@ impl Default for ProfilerConfig {
             w: 10,
             profile_every: 8,
             bloom_window: 600,
-            bloom_alpha: 8,
         }
     }
 }
@@ -170,17 +169,6 @@ impl Profiler {
         p.delta.iter().all(WindowStat::is_warm)
     }
 
-    /// Fraction of pipelines whose windows are warm.
-    pub fn warm_fraction(&self) -> f64 {
-        if self.pipelines.is_empty() {
-            return 1.0;
-        }
-        let warm = (0..self.pipelines.len() as u16)
-            .filter(|&i| self.pipeline_warm(RelId(i)))
-            .count();
-        warm as f64 / self.pipelines.len() as f64
-    }
-
     /// Reset pipeline `i`'s statistics (after reordering, §4.5 step 5).
     pub fn reset_pipeline(&mut self, i: RelId, num_ops: usize) {
         self.pipelines[i.0 as usize] = PipelineProfile::new(num_ops, self.config.w);
@@ -188,7 +176,7 @@ impl Profiler {
 
     /// A fresh miss-probability estimator for one candidate.
     pub fn new_miss_estimator(&self) -> MissProbEstimator {
-        MissProbEstimator::new(self.config.bloom_window, self.config.bloom_alpha)
+        MissProbEstimator::new(self.config.bloom_window)
     }
 
     /// Emit the profiler's current estimates into a snapshot.
@@ -275,7 +263,7 @@ mod tests {
         assert!(!p.pipeline_warm(RelId(0)), "9 < W = 10");
         p.record_profiled(RelId(0), &[(1.0, 10), (1.0, 10), (1.0, 0)]);
         assert!(p.pipeline_warm(RelId(0)));
-        assert!((p.warm_fraction() - 1.0 / 3.0).abs() < 1e-9);
+        assert!(!p.pipeline_warm(RelId(1)), "windows are per pipeline");
     }
 
     #[test]

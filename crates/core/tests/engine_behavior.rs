@@ -25,7 +25,6 @@ fn test_config() -> EngineConfig {
             w: 3,
             profile_every: 2,
             bloom_window: 8,
-            bloom_alpha: 8,
         },
         reopt_interval: ReoptInterval::Tuples(50),
         stats_epoch_ns: 10_000,

@@ -103,7 +103,6 @@ pub fn engine_config(id: ConfigId, schema: SchemaSpec) -> EngineConfig {
             w: 3,
             profile_every: 3,
             bloom_window: 16,
-            bloom_alpha: 8,
         },
         reopt_interval: ReoptInterval::Tuples(40),
         stats_epoch_ns: 1_000_000,

@@ -10,8 +10,7 @@
 //!   distinct cache-key values in a probe stream, and hence the cache miss
 //!   probability (paper §4.3 / Appendix A).
 //! * [`stats`] — `W`-window sliding statistics ("our online estimate for any
-//!   statistic is the average of its `W` most recent measurements", Table 1),
-//!   rate estimators, and exponentially weighted moving averages.
+//!   statistic is the average of its `W` most recent measurements", Table 1).
 
 #![warn(missing_docs)]
 
@@ -21,4 +20,4 @@ pub mod stats;
 
 pub use bloom::BloomFilter;
 pub use fx::{fx_hash_bytes, fx_hash_u64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use stats::{Ewma, RateEstimator, WindowStat};
+pub use stats::WindowStat;

@@ -3,10 +3,7 @@
 //! Table 1 of the paper: *"Our online estimate for any statistic is the
 //! average of its `W` most recent measurements"* (default `W = 10`, §7.1).
 //! [`WindowStat`] implements exactly that — a ring buffer of the last `W`
-//! observations with O(1) push and O(1) sum/average. [`RateEstimator`] tracks
-//! tuples-per-unit-time over a sliding time horizon, used for `rate(R_i)` in
-//! the `d_ij` estimate (Appendix A). [`Ewma`] is provided as an alternative
-//! smoother for ablation experiments.
+//! observations with O(1) push and O(1) sum/average.
 
 /// Ring buffer of the `W` most recent `f64` observations.
 #[derive(Debug, Clone)]
@@ -115,110 +112,6 @@ impl WindowStat {
     }
 }
 
-/// Tuples-per-unit-time estimator over a sliding horizon of virtual time.
-///
-/// Maintains `(timestamp, count)` buckets; `rate()` is total count in the
-/// horizon divided by the horizon span. Timestamps are caller-supplied
-/// (virtual nanoseconds from the cost clock), keeping everything
-/// deterministic.
-#[derive(Debug, Clone)]
-pub struct RateEstimator {
-    horizon_ns: u64,
-    events: std::collections::VecDeque<(u64, u64)>,
-    total_in_horizon: u64,
-}
-
-impl RateEstimator {
-    /// `horizon_ns`: how far back (in virtual ns) events are counted.
-    pub fn new(horizon_ns: u64) -> Self {
-        RateEstimator {
-            horizon_ns: horizon_ns.max(1),
-            events: std::collections::VecDeque::new(),
-            total_in_horizon: 0,
-        }
-    }
-
-    /// Record `count` events at virtual time `now_ns`.
-    pub fn record(&mut self, now_ns: u64, count: u64) {
-        self.events.push_back((now_ns, count));
-        self.total_in_horizon += count;
-        self.evict(now_ns);
-    }
-
-    fn evict(&mut self, now_ns: u64) {
-        let cutoff = now_ns.saturating_sub(self.horizon_ns);
-        while let Some(&(t, c)) = self.events.front() {
-            if t < cutoff {
-                self.events.pop_front();
-                self.total_in_horizon -= c;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Events per second at virtual time `now_ns`.
-    pub fn rate_per_sec(&mut self, now_ns: u64) -> f64 {
-        self.evict(now_ns);
-        if self.events.is_empty() {
-            return 0.0;
-        }
-        let oldest = self.events.front().unwrap().0;
-        let span = (now_ns.saturating_sub(oldest)).max(1).min(self.horizon_ns);
-        self.total_in_horizon as f64 * 1e9 / span as f64
-    }
-
-    /// Total events currently inside the horizon.
-    pub fn count_in_horizon(&self) -> u64 {
-        self.total_in_horizon
-    }
-
-    /// Reset all recorded events.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.total_in_horizon = 0;
-    }
-}
-
-/// Exponentially weighted moving average, `v ← (1-α)·v + α·x`.
-///
-/// Not used by the paper's algorithms (which specify W-window averages) but
-/// provided for the smoothing-ablation benches.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha ∈ (0, 1]`: weight of the newest observation.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Ewma { alpha, value: None }
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        });
-    }
-
-    /// Current smoothed value.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Current value or `default` when nothing has been observed.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,65 +179,5 @@ mod tests {
         }
         let expect: f64 = w.iter().sum();
         assert!((w.sum() - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rate_estimator_steady_stream() {
-        let mut r = RateEstimator::new(1_000_000_000); // 1 s horizon
-                                                       // One event every millisecond for 2 virtual seconds.
-        for i in 0..2000u64 {
-            r.record(i * 1_000_000, 1);
-        }
-        let rate = r.rate_per_sec(2_000_000_000);
-        assert!(
-            (rate - 1000.0).abs() / 1000.0 < 0.02,
-            "expected ~1000/s, got {rate}"
-        );
-    }
-
-    #[test]
-    fn rate_estimator_forgets_old_events() {
-        let mut r = RateEstimator::new(1_000_000_000);
-        for i in 0..1000u64 {
-            r.record(i * 1_000_000, 1);
-        }
-        // Fast-forward 10 virtual seconds with no events.
-        let rate = r.rate_per_sec(11_000_000_000);
-        assert_eq!(rate, 0.0);
-        assert_eq!(r.count_in_horizon(), 0);
-    }
-
-    #[test]
-    fn rate_estimator_burst_detection() {
-        let mut r = RateEstimator::new(100_000_000); // 0.1 s horizon
-        for i in 0..100u64 {
-            r.record(i * 1_000_000, 1); // 1000/s baseline
-        }
-        let base = r.rate_per_sec(100_000_000);
-        for i in 0..100u64 {
-            r.record(100_000_000 + i * 50_000, 1); // 20,000/s burst
-        }
-        // The horizon at t=105ms still contains 95 baseline events plus the
-        // 100 burst events over ~100ms, so the rate roughly doubles.
-        let burst = r.rate_per_sec(105_000_000);
-        assert!(burst > base * 1.5, "burst {burst} vs base {base}");
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert!(e.value().is_none());
-        e.push(10.0);
-        assert_eq!(e.value(), Some(10.0));
-        for _ in 0..50 {
-            e.push(2.0);
-        }
-        assert!((e.value().unwrap() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0,1]")]
-    fn ewma_bad_alpha_panics() {
-        let _ = Ewma::new(0.0);
     }
 }

@@ -86,7 +86,6 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
         w: 3,
         profile_every: 3,
         bloom_window: 16,
-        bloom_alpha: 8,
     };
     let base = EngineConfig {
         profiler: fast_profiler,

@@ -27,7 +27,6 @@ fn fast_config() -> EngineConfig {
             w: 3,
             profile_every: 3,
             bloom_window: 16,
-            bloom_alpha: 8,
         },
         reopt_interval: ReoptInterval::Tuples(40),
         stats_epoch_ns: 1_000_000,
@@ -320,7 +319,6 @@ fn fig12_lifecycle_identical_across_shard_merge() {
             w: 3,
             profile_every: 3,
             bloom_window: 16,
-            bloom_alpha: 8,
         },
         reopt_interval: ReoptInterval::Tuples(200),
         selection: SelectionStrategy::Exhaustive,
