@@ -87,34 +87,6 @@ pub fn run_xjoin(x: &mut XJoin, updates: &[Update], warmup_frac: f64) -> RunStat
     s
 }
 
-/// Time-series measurement for adaptivity experiments (Figure 12): sample
-/// the instantaneous rate every `sample_every` updates. `x_of` extracts the
-/// x-axis value (e.g. cumulative ∆S tuples) from the update count.
-pub fn run_engine_timeseries(
-    engine: &mut AdaptiveJoinEngine,
-    updates: &[Update],
-    sample_every: usize,
-) -> Vec<(u64, f64)> {
-    let mut out = Vec::new();
-    let mut last_t = 0u64;
-    let mut last_ns = 0u64;
-    for (i, u) in updates.iter().enumerate() {
-        engine.process(u);
-        if (i + 1) % sample_every == 0 {
-            let t = engine.counters().tuples_processed;
-            let ns = engine.core().now_ns();
-            let dt = t - last_t;
-            let dns = ns - last_ns;
-            if dns > 0 {
-                out.push((i as u64 + 1, dt as f64 * 1e9 / dns as f64));
-            }
-            last_t = t;
-            last_ns = ns;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,16 +113,5 @@ mod tests {
         let sx = run_xjoin(&mut x, &w, 0.2);
         assert!(sx.rate > 0.0);
         assert_eq!(se.outputs, sx.outputs, "same deltas regardless of executor");
-    }
-
-    #[test]
-    fn timeseries_produces_samples() {
-        let q = QuerySchema::chain3();
-        let w = chain3_default(2, 20, 9).generate(500);
-        let mut e =
-            AdaptiveJoinEngine::with_config(q.clone(), PlanOrders::identity(&q), config_m());
-        let ts = run_engine_timeseries(&mut e, &w, 100);
-        assert!(ts.len() >= 4);
-        assert!(ts.iter().all(|&(_, r)| r > 0.0));
     }
 }

@@ -16,7 +16,7 @@
 //! the count reaches zero.
 
 use acq_sketch::{BloomFilter, FxHashMap, FxHasher};
-use acq_stream::{Composite, CompositeId, RelId, TupleId, Value};
+use acq_stream::{Composite, CompositeId, Value};
 use std::hash::Hasher;
 
 /// Hash a cache key (a projected value vector).
@@ -393,23 +393,6 @@ impl CacheStore {
         }
     }
 
-    /// Drop every entry whose value contains a composite referencing the
-    /// given stored tuple. A blunt instrument used only on exceptional paths
-    /// (it is never needed during normal maintenance).
-    pub fn invalidate_tuple(&mut self, rel: RelId, id: TupleId) {
-        for slot in &mut self.buckets {
-            let contains = slot
-                .as_ref()
-                .map(|e| e.value.keys().any(|idkey| idkey.contains(rel, id)))
-                .unwrap_or(false);
-            if contains {
-                let e = slot.take().expect("checked above");
-                self.entries -= 1;
-                self.value_bytes -= e.bytes;
-            }
-        }
-    }
-
     /// Number of buckets.
     pub fn num_buckets(&self) -> usize {
         self.buckets.len()
@@ -438,16 +421,6 @@ impl CacheStore {
     /// Reset hit/miss statistics (per observation window).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-    }
-
-    /// Remove all entries, keeping the bucket array.
-    pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            *b = None;
-        }
-        self.entries = 0;
-        self.value_bytes = 0;
-        self.resident.clear();
     }
 
     /// Rebuild with a new bucket count (adaptive memory allocation, §5),
@@ -532,7 +505,7 @@ impl CacheStore {
 mod tests {
     use super::*;
     use acq_stream::tuple::make_ref;
-    use acq_stream::TupleData;
+    use acq_stream::{RelId, TupleData};
 
     fn comp(rel: u16, id: u64, vals: &[i64]) -> Composite {
         Composite::unit(make_ref(RelId(rel), id, TupleData::ints(vals)))
@@ -631,9 +604,6 @@ mod tests {
         assert!(c.memory_bytes() > with_one);
         c.delete(&key(&[1]), &comp(1, 2, &[1, 3]), 1);
         assert_eq!(c.memory_bytes(), with_one);
-        c.clear();
-        assert_eq!(c.memory_bytes(), base);
-        assert!(c.is_empty());
     }
 
     #[test]
@@ -652,16 +622,6 @@ mod tests {
         for k in survivors {
             assert!(c.peek(&k).is_some());
         }
-    }
-
-    #[test]
-    fn invalidate_tuple_drops_referencing_entries() {
-        let mut c = CacheStore::new(16);
-        c.create(key(&[1]), vec![(comp(1, 42, &[1, 2]), 1)]);
-        c.create(key(&[2]), vec![(comp(1, 43, &[2, 2]), 1)]);
-        c.invalidate_tuple(RelId(1), 42);
-        assert!(c.peek(&key(&[1])).is_none());
-        assert!(c.peek(&key(&[2])).is_some());
     }
 
     #[test]

@@ -399,13 +399,6 @@ impl CompositeId {
     pub fn pairs(&self) -> impl Iterator<Item = (RelId, TupleId)> + '_ {
         (0..self.len()).map(|i| self.pair(i))
     }
-
-    /// Whether the identity includes stored tuple `(rel, id)`.
-    pub fn contains(&self, rel: RelId, id: TupleId) -> bool {
-        self.packed[..self.len as usize]
-            .binary_search(&Self::pack(rel, id))
-            .is_ok()
-    }
 }
 
 impl PartialEq for CompositeId {
