@@ -38,8 +38,9 @@ run cargo test -q --offline -p acq --test spsc_ring || fail=1
 # the oracle, so a walk that corrupts deltas fails here and not only in a
 # benchmark run. Each workload runs on the default seed and on the held-out
 # seed 20050405, a second stream through the duplicate-heavy delete paths.
-# The gate itself must catch a planted tap-delete bug (exit 1); that build
-# goes to its own target directory so it never mixes with the measured one.
+# The gate itself must catch a planted tap-delete bug (exit 1) on every
+# workload; that build goes to its own target directory so it never mixes
+# with the measured one.
 for w in chain3 burst-shift star4; do
   for seed in 1 20050405; do
     run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
@@ -51,15 +52,17 @@ done
 # ordered reference.
 run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
   --workload chain3 --seconds 1 --trace 1 || fail=1
-echo "==> perfbench chain3 with a planted tap-delete bug must exit 1"
-cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
-  --target-dir perfbench/target/fault-injection --features fault-injection -- \
-  --workload chain3 --seconds 1 --trace 0 --inject-fault skip-tap-deletes >/dev/null 2>&1
-status=$?
-if [ "$status" -ne 1 ]; then
-  echo "planted fault: exit $status, expected 1"
-  fail=1
-fi
+for w in chain3 burst-shift star4; do
+  echo "==> perfbench $w with a planted tap-delete bug must exit 1"
+  cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+    --target-dir perfbench/target/fault-injection --features fault-injection -- \
+    --workload "$w" --seconds 1 --trace 0 --inject-fault skip-tap-deletes >/dev/null 2>&1
+  status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "planted fault on $w: exit $status, expected 1"
+    fail=1
+  fi
+done
 
 # Documentation gate: every public item is documented (missing_docs is
 # enabled crate-side) and rustdoc warnings are errors.
