@@ -28,11 +28,6 @@ run cargo run --release --offline -q -p acq-harness -- --seed 1 --cases 6 --chec
 # (~2.5 min on 2 cores).
 run bash scripts/check_experiments.sh || fail=1
 
-# Persistent-runtime data plane (tier 2): the SPSC ring schedule-fuzz
-# model and drop-while-nonempty leak tests, explicitly — the runtime's
-# safety protocol rests on this ring behaving exactly like the model.
-run cargo test -q --offline -p acq --test spsc_ring || fail=1
-
 # Benchmark correctness gate (tier 2): a short run of every perfbench
 # workload checks each batch's deltas against the caching-off engine and
 # the oracle, so a walk that corrupts deltas fails here and not only in a
