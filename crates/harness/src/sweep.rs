@@ -43,8 +43,10 @@ use acq_telemetry::{check_laws, ENGINE_LAWS};
 /// Run invariant sweeps every this many updates (and always at the end).
 const INVARIANT_EVERY: usize = 48;
 
-/// Batch size for the sharded executor (exercises batching + merge).
-const SHARD_BATCH: usize = 16;
+/// Batch size for the sharded executor. Above `shard::INLINE_BATCH` (32),
+/// so full batches run on the worker threads (batching, fences and the
+/// streaming merge) while a case's short tail batch stays inline.
+const SHARD_BATCH: usize = 48;
 
 /// Canonicalized per-update deltas for one full run.
 type RunDeltas = Vec<Vec<(Op, CanonicalRow)>>;
