@@ -13,7 +13,6 @@ pub struct WindowStat {
     next: usize,
     len: usize,
     sum: f64,
-    total_observations: u64,
 }
 
 impl WindowStat {
@@ -29,7 +28,6 @@ impl WindowStat {
             next: 0,
             len: 0,
             sum: 0.0,
-            total_observations: 0,
         }
     }
 
@@ -48,7 +46,6 @@ impl WindowStat {
         if self.next == self.capacity {
             self.next = 0;
         }
-        self.total_observations += 1;
     }
 
     /// Average of the observations currently in the window; `None` if empty.
@@ -85,31 +82,6 @@ impl WindowStat {
     pub fn is_warm(&self) -> bool {
         self.len == self.capacity
     }
-
-    /// Window capacity `W`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Lifetime count of observations (not just those in the window).
-    pub fn total_observations(&self) -> u64 {
-        self.total_observations
-    }
-
-    /// Forget all observations (used when a pipeline is re-ordered and its
-    /// statistics are invalidated, §4.5 step 5).
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.next = 0;
-        self.sum = 0.0;
-        self.total_observations = 0;
-    }
-
-    /// Iterate over the observations currently in the window, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        let start = (self.next + self.capacity - self.len) % self.capacity;
-        (0..self.len).map(move |i| self.buf[(start + i) % self.capacity])
-    }
 }
 
 #[cfg(test)]
@@ -120,6 +92,7 @@ mod tests {
     fn window_average_basic() {
         let mut w = WindowStat::new(3);
         assert!(w.average().is_none());
+        assert_eq!(w.average_or(7.0), 7.0);
         assert!(w.is_empty());
         w.push(1.0);
         w.push(2.0);
@@ -139,20 +112,6 @@ mod tests {
         assert_eq!(w.len(), 3);
         assert_eq!(w.average(), Some(4.0)); // 3,4,5
         assert_eq!(w.sum(), 12.0);
-        assert_eq!(w.total_observations(), 5);
-        let obs: Vec<f64> = w.iter().collect();
-        assert_eq!(obs, vec![3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn window_clear() {
-        let mut w = WindowStat::new(2);
-        w.push(10.0);
-        w.clear();
-        assert!(w.average().is_none());
-        assert_eq!(w.average_or(7.0), 7.0);
-        w.push(4.0);
-        assert_eq!(w.average(), Some(4.0));
     }
 
     #[test]
@@ -173,11 +132,12 @@ mod tests {
     #[test]
     fn window_sum_stays_accurate_after_many_evictions() {
         // Numerical drift check: running sum must track a fresh recomputation.
+        let x = |i: u64| (i % 977) as f64 * 0.1;
         let mut w = WindowStat::new(10);
         for i in 0..100_000u64 {
-            w.push((i % 977) as f64 * 0.1);
+            w.push(x(i));
         }
-        let expect: f64 = w.iter().sum();
+        let expect: f64 = (99_990..100_000).map(x).sum();
         assert!((w.sum() - expect).abs() < 1e-6);
     }
 }
