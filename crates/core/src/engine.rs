@@ -102,7 +102,7 @@ pub struct EngineConfig {
     /// Re-optimization interval `I` (default 2 virtual seconds).
     pub reopt_interval: ReoptInterval,
     /// Statistics/monitoring epoch (used-cache demotion checks, rate rolls);
-    /// default `I / 4`.
+    /// default 250 virtual ms, `I / 8` of the default interval.
     pub stats_epoch_ns: u64,
     /// Re-optimization trigger threshold `p` (§4.5c; default 0.2).
     pub p_threshold: f64,
