@@ -642,7 +642,7 @@ impl Reoptimizer {
         }
         // Convert byte grants into budget-respecting bucket counts (each
         // bucket costs its array slot plus the expected entry footprint).
-        let slot = std::mem::size_of::<Option<crate::cache::CacheEntry>>();
+        let slot = crate::cache::BUCKET_SLOT_BYTES;
         let group_buckets: Vec<usize> = (0..group_count)
             .map(|g| {
                 if host.config.memory.budget_bytes.is_some() {

@@ -482,6 +482,6 @@ fn apply_delta(
     let hash = hash_key(key);
     match op {
         Op::Insert => store.insert_hashed(key, hash, || seg.to_composite(), 1),
-        Op::Delete => store.delete_hashed(key, hash, seg.identity(), 1),
+        Op::Delete => store.delete_hashed(key, hash, seg.parts(), 1),
     }
 }

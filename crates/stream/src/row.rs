@@ -12,7 +12,7 @@
 //! walk (result deltas, cache values).
 
 use crate::schema::{AttrRef, RelId};
-use crate::tuple::{Composite, CompositeId, TupleRef, MAX_PARTS};
+use crate::tuple::{Composite, TupleRef, MAX_PARTS};
 use crate::value::Value;
 use std::fmt;
 
@@ -219,12 +219,6 @@ impl<'r, 'a> Row<'r, 'a> {
     pub fn to_composite(&self) -> Composite {
         composite_of(self.parts.iter().copied())
     }
-
-    /// Canonical identity; equal to the identity of
-    /// [`Row::to_composite`]'s result.
-    pub fn identity(&self) -> CompositeId {
-        CompositeId::of_parts(self.parts.iter().copied())
-    }
 }
 
 impl fmt::Debug for Row<'_, '_> {
@@ -244,7 +238,7 @@ pub struct Projection<'r, 'a, 's> {
 impl<'r, 'a> Projection<'r, 'a, '_> {
     /// The kept parts, in the row's part order.
     #[inline]
-    pub fn parts(&self) -> impl Iterator<Item = &'a TupleRef> + '_ {
+    pub fn parts(&self) -> impl Iterator<Item = &'a TupleRef> + Clone + '_ {
         self.parts
             .iter()
             .copied()
@@ -263,12 +257,6 @@ impl<'r, 'a> Projection<'r, 'a, '_> {
     /// An owned composite over the kept parts, in part order.
     pub fn to_composite(&self) -> Composite {
         composite_of(self.parts())
-    }
-
-    /// Canonical identity; equal to the identity of
-    /// [`Projection::to_composite`]'s result.
-    pub fn identity(&self) -> CompositeId {
-        CompositeId::of_parts(self.parts())
     }
 }
 
@@ -315,7 +303,7 @@ mod tests {
         let c = r.to_composite();
         assert_eq!(std::sync::Arc::strong_count(&a), 2);
         assert_eq!(c.len(), 2);
-        assert_eq!(r.identity(), c.identity());
+        assert!(c.same_tuples(r.parts().iter().copied()));
     }
 
     #[test]
@@ -358,19 +346,20 @@ mod tests {
                 c.push(p.clone());
             }
             // Through a frontier, reversed: part order is kept, and the
-            // identity does not depend on it.
+            // stored-tuple identity does not depend on it.
             let rev: Vec<&TupleRef> = all[..width].iter().rev().collect();
             let mut f = Frontier::new(width);
             f.push_row(c.parts());
             f.push_row(rev.iter().copied());
             assert_eq!(row(&f, 0).to_composite(), c);
-            assert_eq!(row(&f, 0).identity(), c.identity());
+            assert!(c.same_tuples(row(&f, 0).parts().iter().copied()));
             let mut rc = Composite::empty();
             for p in &rev {
                 rc.push((*p).clone());
             }
             assert_eq!(row(&f, 1).to_composite(), rc);
-            assert_eq!(row(&f, 1).identity(), c.identity());
+            assert!(c.same_tuples(row(&f, 1).parts().iter().copied()));
+            assert_eq!(rc.identity(), c.identity());
         }
     }
 
@@ -429,7 +418,7 @@ mod tests {
         let owned = seg.to_composite();
         let ids: Vec<u64> = owned.parts().map(|p| p.id).collect();
         assert_eq!(ids, [5, 2]);
-        assert_eq!(seg.identity(), owned.identity());
+        assert!(owned.same_tuples(seg.parts()));
         assert!(row.restrict(&[RelId(3)]).is_none(), "absent relation");
         assert!(row.restrict(&[RelId(0), RelId(3)]).is_none(), "one absent");
         assert!(row
