@@ -8,8 +8,23 @@
 # then runs BENCHMARK.json's command for its run_seconds on the two builds
 # alternately, swapping which side runs first on every pair. Prints every
 # run, each pair's change/base ratios, each side's median and quartiles,
-# and the wins out of pairs for every end-to-end metric (ties count for
-# neither side). Exits 1 if any run fails its correctness gate.
+# the wins out of pairs for every end-to-end metric (ties count for
+# neither side) and one verdict per metric, by the paired-run rule (the
+# first that applies):
+#
+#   gain              the change wins at least 9/10 of the pairs and its
+#                     median beats the base median by more than the base
+#                     runs' interquartile range (0 for a deterministic
+#                     metric such as heap_peak_mb, so any steady win counts)
+#   worse than bound  the change's median is worse than the base median by
+#                     more than the metric's BENCHMARK.json bound
+#   unresolved        the runs of either side spread (IQR over median) wider
+#                     than the bound, unless every change run beats every
+#                     base run
+#   within bound      otherwise
+#
+# Per-layer metrics have no bound: their verdict is gain or no gain.
+# Exits 1 if any run fails its correctness gate.
 #
 # With TRACE=1 the runs are traced (`--trace 1`, a fixed-length run that
 # ignores run_seconds) and the table covers BENCHMARK.json's per-layer
@@ -119,6 +134,30 @@ def quartiles(v):
     q1, q2, q3 = statistics.quantiles(v, n=4)
     return q1, statistics.median(v), q3
 
+def verdict(m, higher, wins, n, vals, base_q, head_q):
+    """The paired-run verdict of one metric (see the header of this script)."""
+    (bq1, bmed, bq3), (hq1, hmed, hq3) = base_q, head_q
+    better = hmed > bmed if higher else hmed < bmed
+    if better and 10 * wins >= 9 * n and abs(hmed - bmed) > bq3 - bq1:
+        return "gain"
+    if "bound" not in m:
+        return "no gain"
+    bound = m["bound"]
+    # Relative worsening of the change's median (positive = worse).
+    worse = ((bmed - hmed) if higher else (hmed - bmed)) / abs(bmed) if bmed else 0.0
+    if worse > bound:
+        return f"worse than bound ({worse:+.1%} > {bound:.0%})"
+
+    def spread(q1, med, q3):
+        return (q3 - q1) / abs(med) if med else (0.0 if q3 == q1 else float("inf"))
+
+    wide = max(spread(bq1, bmed, bq3), spread(hq1, hmed, hq3))
+    base, head = vals["base"], vals["head"]
+    dominates = (min(head) > max(base)) if higher else (max(head) < min(base))
+    if wide > bound and not dominates:
+        return f"unresolved (spread {wide:.1%} > bound {bound:.0%})"
+    return f"within bound (median {abs(worse):.1%} {'better' if worse < 0 else 'worse'})"
+
 for m in metrics if pairs else []:
     name, higher = m["name"], m["better"] == "higher"
     # A traced run reports only the layers its workload exercises.
@@ -135,9 +174,10 @@ for m in metrics if pairs else []:
         print(f"  {s}: median {med:.6g}  q1 {q1:.6g}  q3 {q3:.6g}  runs "
               + " ".join(f"{v:.6g}" for v in vals[s]))
     bq1, bmed, bq3 = quartiles(vals["base"])
-    hmed = statistics.median(vals["head"])
+    hq1, hmed, hq3 = quartiles(vals["head"])
     change = f"{hmed / bmed - 1:+.1%} of base" if bmed else "n/a (base median 0)"
     print(f"  head wins {wins}/{len(pairs)}; median change {change};"
           f" |median diff| {abs(hmed - bmed):.6g} vs base IQR {bq3 - bq1:.6g}")
+    print(f"  verdict: {verdict(m, higher, wins, len(pairs), vals, (bq1, bmed, bq3), (hq1, hmed, hq3))}")
 EOF
 exit "$gate_failed"
